@@ -24,6 +24,9 @@ object Section5Runner {
     }
   }
 
+  private def fmt(rate: Double): String =
+    if (rate >= 1e6) f"${rate / 1e6}%.2fM/s" else f"${rate / 1e3}%.0fK/s"
+
   def run(): String = {
     val sb = new StringBuilder
     sb ++= Bench.banner("Section 5.5: single-threaded index maintenance throughput")
@@ -34,14 +37,15 @@ object Section5Runner {
       val es = edges(ds, 21L)
       val (init, stream) = es.splitAt(es.size / 2)
       ds.name +: cfgs.map { cfg =>
-        // two full rounds: the first warms the JIT (the first-run config
-        // otherwise pays all compilation), the second is measured
+        // the first call warms the JIT (the first-run config otherwise pays
+        // all compilation); the second call's trials are measured
         Maintenance.throughput(ds.nV, cfg, init, stream)
         val (_, rate) = Maintenance.throughput(ds.nV, cfg, init, stream)
-        if (rate >= 1e6) f"${rate / 1e6}%.2fM/s" else f"${rate / 1e3}%.0fK/s"
+        f"${fmt(rate.median)} (${rate.spread * 100}%.0f%%)"
       }
     }
-    sb ++= "\n"
+    sb ++= s"\nEach cell: median inserts/s of ${Maintenance.Trials} timed trials (after one warm-up call of " +
+      s"${Maintenance.Trials}) and, in brackets, their range (max - min) as a % of the median.\n"
     sb ++= Bench.table("dataset" +: cfgs.map(_.name), rows)
     val out = sb.toString
     println(out)

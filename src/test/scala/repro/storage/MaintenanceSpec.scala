@@ -1,6 +1,7 @@
 package repro.storage
 
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.Gen
 import scala.util.Random
 
 class MaintenanceSpec extends AnyFunSuite {
@@ -76,19 +77,107 @@ class MaintenanceSpec extends AnyFunSuite {
         a.eId != eb.eId && a.src == eb.src && eb.time < a.time + alpha).map(_.eId).toSet
     }.toMap
     edges.foreach { eb =>
-      val got = st.ebt.get(eb.eId).map(_.toSet).getOrElse(Set.empty[Long])
+      val got = st.ebt.get(eb.eId).map(_.toArray.toSet).getOrElse(Set.empty[Long])
       assert(got == expected(eb.eId), s"EB list of edge ${eb.eId}")
     }
   }
 
-  test("maintenance throughput ordering: richer configurations are slower") {
-    val init   = edges.take(300)
-    val stream = edges.drop(300)
-    val tDs  = throughput(nV, Ds, init, stream)._2
-    val tEbt = throughput(nV, EBt(10.0), init, stream)._2
-    assert(tDs > 0 && tEbt > 0)
-    // The EB configuration does strictly more work per insert (two delta
-    // queries over the source's out-list); at this scale timing noise can
-    // dominate, so just assert both complete and EB produced its lists.
+  test("throughput times Trials runs; EB_t entries equal the bulk view's") {
+    val alpha  = 100.0
+    val (init, stream) = edges.splitAt(300)
+    val (st, rate) = throughput(nV, EBt(alpha), init, stream)
+    assert(rate.trials.size == Trials && rate.trials.forall(_ > 0))
+    assert(rate.trials.min <= rate.median && rate.median <= rate.trials.max)
+    val bulk = edges.map(eb => edges.count(a =>
+      a.eId != eb.eId && a.src == eb.src && eb.time < a.time + alpha).toLong).sum
+    assert(bulk > 0 && st.ebt.valuesIterator.exists(_.size > 0))
+    assert(st.ebt.valuesIterator.map(_.size.toLong).sum == bulk)
+    assert(Rate(Seq(3.0, 1.0, 2.0)).median == 2.0 && Rate(Seq(3.0, 1.0, 2.0)).spread == 1.0)
+  }
+
+  for (cfg <- Seq(Ds, Dp, Dps, VBt, EBt(10.0))) {
+    test(s"returned lists survive later inserts and merges under ${cfg.name}") {
+      val st = new Store(nV, cfg)
+      // (list, copy taken with it, vertex, merged prefix of the vertex's forward page then)
+      val outs, others = scala.collection.mutable.ArrayBuffer[(Seq[Edge], List[Edge], Int, Int)]()
+      edges.zipWithIndex.foreach { case (e, i) =>
+        st.insert(e)
+        if (i % 100 == 99) st.compact()
+        val merged = st.mergedPrefix(e.src, forward = true).size
+        for ((buf, seq) <- Seq(outs -> st.outEdges(e.src), others -> st.inEdges(e.dst),
+                               others -> st.timeSortedOut(e.src)))
+          buf += ((seq, seq.toList, e.src, merged))
+      }
+      st.compact()
+      (outs ++ others).foreach { case (seq, copy, v, _) => assert(seq.toList == copy, s"a list of v=$v changed") }
+      // Some forward lists were taken with a non-empty buffer that a later
+      // merge folded into a new array.
+      assert(outs.exists { case (seq, _, v, merged) =>
+        merged < seq.size && st.mergedPrefix(v, forward = true).size > seq.size })
+    }
+  }
+
+  /** The merged-list key of each configuration, as a tuple. */
+  private def key(cfg: Config, forward: Boolean, e: Edge): (Int, Int, Long) = {
+    val nbr = if (forward) e.dst else e.src
+    cfg match {
+      case Ds => (0, nbr, e.eId)
+      case Dp => (e.label, 0, e.eId)
+      case _  => (e.label, nbr, e.eId)
+    }
+  }
+
+  /** A stream over hub-skewed endpoints (low IDs are hubs) with edge IDs out
+    * of arrival order, and a flag per step: compact after that insert. */
+  private val genStream: Gen[(Int, Seq[(Edge, Boolean)])] = for {
+    nV    <- Gen.choose(2, 30)
+    n     <- Gen.choose(0, 200)
+    steps <- Gen.listOfN(n, for {
+               us <- Gen.choose(0.0, 1.0); ud <- Gen.choose(0.0, 1.0)
+               label <- Gen.choose(1, 3); time <- Gen.choose(0, 50); k <- Gen.choose(0, 9)
+               compact <- Gen.frequency((1, true), (30, false))
+             } yield (us, ud, label, time, k, compact))
+  } yield {
+    def hub(u: Double) = (u * u * nV).toInt.min(nV - 1)
+    nV -> steps.zipWithIndex.map { case ((us, ud, label, time, k, compact), i) =>
+      val s = hub(us); var d = hub(ud); if (d == s) d = (d + 1) % nV
+      (Edge(k.toLong * (n + 1) + i, s, d, label, time), compact)
+    }
+  }
+
+  for (cfg <- Seq(Ds, Dp, Dps, VBt, EBt(10.0))) {
+    test(s"property: pages match an oracle with sorted prefixes under ${cfg.name}") {
+      GenSamples.samples(genStream, 20).foreach { case (nV, steps) =>
+        val st  = new Store(nV, cfg)
+        val out = Array.fill(nV)(List.empty[Long])
+        val in  = Array.fill(nV)(List.empty[Long])
+        def check(step: Int): Unit = (0 until nV).foreach { v =>
+          for (forward <- Seq(true, false)) {
+            val ks = st.mergedPrefix(v, forward).map(key(cfg, forward, _))
+            assert(ks.zip(ks.drop(1)).forall { case (a, b) => Ordering[(Int, Int, Long)].lt(a, b) },
+              s"step $step v=$v forward=$forward: merged prefix unsorted")
+          }
+          assert(st.outEdges(v).map(_.eId).sorted == out(v).sorted, s"step $step fwd v=$v")
+          assert(st.inEdges(v).map(_.eId).sorted == in(v).sorted, s"step $step bwd v=$v")
+        }
+        steps.zipWithIndex.foreach { case ((e, compact), i) =>
+          st.insert(e); out(e.src) ::= e.eId; in(e.dst) ::= e.eId
+          check(i)
+          if (compact) { st.compact(); check(i) }
+        }
+        val es = steps.map(_._1)
+        cfg match {
+          case VBt => (0 until nV).foreach { v =>
+            val ts = st.timeSortedOut(v)
+            assert(ts.map(_.time) == ts.map(_.time).sorted && ts.map(_.eId).sorted == out(v).sorted, s"VB_t v=$v")
+          }
+          case EBt(alpha) => es.foreach { eb =>
+            val want = es.filter(a => a.eId != eb.eId && a.src == eb.src && eb.time < a.time + alpha).map(_.eId)
+            assert(st.ebt(eb.eId).toArray.toSeq.sorted == want.sorted, s"EB_t list of ${eb.eId}")
+          }
+          case _ => ()
+        }
+      }
+    }
   }
 }
