@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.DataFrame
 import repro.core.{PropertyGraph, SystemConfig}
-import repro.core.index.{APlusIndex, Catalogue, IndexStore}
+import repro.core.index.{Catalogue, IndexStore}
 import repro.core.plan._
 import repro.core.query._
 import repro.workloads.IndexConfigs

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.query._
 
@@ -10,14 +10,6 @@ import repro.core.query._
   * validate the A+ engine, the baselines, and the index-backed plans.
   */
 object NaiveEvaluator {
-
-  private def cmp(l: Column, op: CmpOp, r: Column): Column = op match {
-    case Lt   => l < r
-    case Le   => l <= r
-    case Gt   => l > r
-    case Ge   => l >= r
-    case EqOp => l === r
-  }
 
   /** Returns one column per query vertex (its matched vertex ID, named after
     * the variable) and one per query edge (its matched edge ID). */
@@ -67,41 +59,15 @@ object NaiveEvaluator {
     }
 
     // Bring in vertex properties for every constrained vertex variable.
-    val needsProps: Set[String] =
-      (q.vertices.filter(v => v.label.nonEmpty || v.propEq.nonEmpty).map(_.name) ++
-        q.vertexEqs.flatMap(_.vars)).toSet
-    needsProps.foreach { v =>
+    q.preds.filter(_.readsProps).flatMap(_.vVars).distinct.foreach { v =>
       val vp = g.vertices.select(
         (col(Schema.VertexId).as(s"${v}__vId") +:
           Schema.VertexProps.map(p => col(p).as(s"${v}__$p"))): _*)
       df = df.join(vp, col(vCol(v)) === col(s"${v}__vId"))
     }
 
-    // Single-variable vertex predicates.
-    q.vertices.foreach { v =>
-      v.label.foreach(l => df = df.where(col(s"${v.name}__vLabel") === l))
-      v.propEq.foreach { case (p, x) => df = df.where(col(s"${v.name}__$p") === x) }
-      v.idEq.foreach(x => df = df.where(col(vCol(v.name)) === x))
-      v.idLt.foreach(x => df = df.where(col(vCol(v.name)) < x))
-    }
-
-    // Single-edge predicates.
-    q.edges.foreach { e =>
-      e.label.foreach(l => df = df.where(col(s"${e.name}__eLabel") === l))
-      e.idEq.foreach(x => df = df.where(col(e.name) === x))
-      e.scalarPreds.foreach(sp =>
-        df = df.where(cmp(col(s"${e.name}__${sp.prop}"), sp.op, lit(sp.value))))
-    }
-
-    // Cross predicates.
-    q.vertexEqs.foreach { p =>
-      p.vars.sliding(2).foreach { case Seq(a, b) =>
-        df = df.where(col(s"${a}__${p.prop}") === col(s"${b}__${p.prop}"))
-      }
-    }
-    q.edgePairs.foreach { p =>
-      df = df.where(
-        cmp(col(s"${p.e1}__${p.p1}"), p.op, col(s"${p.e2}__${p.p2}") + lit(p.delta)))
+    q.preds.foreach { p =>
+      df = df.where(p.column((v, prop) => col(s"${v}__$prop"), v => col(vCol.getOrElse(v, v))))
     }
 
     val outCols =

@@ -44,11 +44,4 @@ object SystemConfig {
     val built = defns.map(d => APlusIndex.build(g, d, numPartitions))
     SystemConfig(name, g, cat, new IndexStore(built))
   }
-
-  /** The system's out-of-the-box default configuration D (§2.1): forward and
-    * backward indexes partitioned by edge label, sorted by neighbour ID. */
-  def defaultDefns: Seq[IndexDefn] = Seq(
-    IndexDefn("D_fwd", DefaultKind, Fwd, partKeys = Seq(Key(AdjEdge, "eLabel"))),
-    IndexDefn("D_bwd", DefaultKind, Bwd, partKeys = Seq(Key(AdjEdge, "eLabel"))),
-  )
 }

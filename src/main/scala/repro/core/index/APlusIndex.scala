@@ -1,6 +1,6 @@
 package repro.core.index
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.core.{Cmp, PropertyGraph, Schema}

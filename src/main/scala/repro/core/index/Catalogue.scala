@@ -55,17 +55,13 @@ final case class Catalogue(
   /** Analytic selectivity of ``e1.p1 OP e2.p2 + delta`` for independent
     * uniform props: ~0.5 for a pure comparison, ~delta/range for the paper's
     * α-band (`Lt` with positive delta following a `Gt`). */
-  def pairSel(p: EdgePairPred): Double = pairSelOf(p.p1, p.op, p.p2, p.delta)
-
-  def pairViewSel(p: PairViewPred): Double = pairSelOf(p.bProp, p.op, p.adjProp, p.delta)
-
-  private def pairSelOf(p1: String, op: CmpOp, p2: String, delta: Double): Double = {
-    val (lo, hi) = ePropRange.getOrElse(p1, (0.0, 1.0))
+  def pairSel(p: EdgePairPred): Double = {
+    val (lo, hi) = ePropRange.getOrElse(p.p1, (0.0, 1.0))
     val r = math.max(hi - lo, 1e-9)
-    op match {
+    p.op match {
       case EqOp => 1.0 / r
-      case Lt | Le if delta > 0 && p1 == p2 => math.min(1.0, delta / r) // band width
-      case Gt | Ge if delta < 0 && p1 == p2 => math.min(1.0, -delta / r)
+      case Lt | Le if p.delta > 0 && p.p1 == p.p2 => math.min(1.0, p.delta / r) // band width
+      case Gt | Ge if p.delta < 0 && p.p1 == p.p2 => math.min(1.0, -p.delta / r)
       case _ => 0.5
     }
   }

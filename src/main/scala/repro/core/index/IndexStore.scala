@@ -5,11 +5,9 @@ import repro.core.query._
 /** The INDEX STORE (§4.2): the registry of every A+ index in the system,
   * queried by the optimizer for indexes usable in a Q_{k-z} → Q_k extension.
   *
-  * An index is *usable* for matching a query edge iff every predicate baked
-  * into its global view is implied by the query (otherwise the view might
-  * miss matches). Implication is structural (exact predicate match), as the
-  * paper's INDEX STORE inspects declared predicates rather than running a
-  * general implication engine.
+  * An index is *usable* for matching a query edge iff it has a [[Coverage]]:
+  * every predicate baked into its global view is implied by the query
+  * (otherwise the view might miss matches).
   */
 final class IndexStore(val indexes: Seq[APlusIndex]) {
   val defaults: Map[Direction, APlusIndex] =
@@ -18,40 +16,13 @@ final class IndexStore(val indexes: Seq[APlusIndex]) {
     "a configuration must contain forward and backward default A+ indexes " +
     "(they index every edge and are the reference for offset lists)")
 
-  private def impliedScalar(vp: ScalarViewPred, qe: QEdge,
-                            boundV: QVertex, nbrV: QVertex): Boolean = vp.target match {
-    case OnAdjEdge =>
-      qe.scalarPreds.exists(sp => sp.prop == vp.prop && sp.op == vp.op && sp.value == vp.value) ||
-        (vp.op == EqOp && vp.prop == "eLabel" && qe.label.exists(_.toDouble == vp.value))
-    case OnNbrVertex =>
-      vp.op == EqOp && nbrV.propEq.get(vp.prop).exists(_.toDouble == vp.value)
-    case OnBoundVertex =>
-      vp.op == EqOp && boundV.propEq.get(vp.prop).exists(_.toDouble == vp.value)
-  }
-
   /** Vertex-bound (and default) indexes usable to match `qe` from bound
     * vertex variable `boundVar` (extension direction derived from the edge). */
   def vertexBoundCandidates(q: QueryGraph, qe: QEdge, boundVar: String): Seq[APlusIndex] = {
     val dir: Direction = if (qe.from == boundVar) Fwd else Bwd
     val nbrVar = if (qe.from == boundVar) qe.to else qe.from
-    indexes.filter { ix =>
-      (ix.defn.kind == DefaultKind || ix.defn.kind == VertexBoundKind) &&
-      ix.defn.dir == dir &&
-      ix.defn.viewPreds.forall(impliedScalar(_, qe, q.vertex(boundVar), q.vertex(nbrVar)))
-    }
-  }
-
-  /** Pair predicates of `ix` that the query states between bound edge `ebVar`
-    * and adjacent edge `qe` — all must be present for the index to be usable. */
-  def matchedPairPreds(ix: APlusIndex, q: QueryGraph, ebVar: String,
-                       qe: QEdge): Option[Seq[EdgePairPred]] = {
-    val hits = ix.defn.pairPreds.map { pp =>
-      q.edgePairs.find(qp =>
-        qp.e1 == ebVar && qp.e2 == qe.name &&
-        qp.p1 == pp.bProp && qp.p2 == pp.adjProp &&
-        qp.op == pp.op && qp.delta == pp.delta)
-    }
-    if (hits.forall(_.nonEmpty)) Some(hits.flatten) else None
+    indexes.filter(ix => !ix.isEdgeBound && ix.defn.dir == dir &&
+      Coverage.of(ix, q, qe, boundVar, nbrVar).nonEmpty)
   }
 
   /** Edge-bound indexes usable to match `qe` bound to already-matched query
@@ -60,12 +31,13 @@ final class IndexStore(val indexes: Seq[APlusIndex]) {
                           sharedVar: String): Seq[APlusIndex] = {
     val wantSharedIsDst = eb.to == sharedVar
     val wantAdjOutgoing = qe.from == sharedVar
+    val nbrVar = if (wantAdjOutgoing) qe.to else qe.from
     indexes.filter { ix =>
       ix.defn.kind match {
         case EdgeBoundKind(shape) =>
           shape.sharedIsDst == wantSharedIsDst &&
           shape.adjOutgoing == wantAdjOutgoing &&
-          matchedPairPreds(ix, q, eb.name, qe).nonEmpty
+          Coverage.of(ix, q, qe, eb.name, nbrVar).nonEmpty
         case _ => false
       }
     }

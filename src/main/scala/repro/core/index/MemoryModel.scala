@@ -2,7 +2,7 @@ package repro.core.index
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import repro.core.{PropertyGraph, Schema}
+import repro.core.PropertyGraph
 
 /** Analytic byte accounting of the paper's physical layout (§3, §4.3).
   *

@@ -3,7 +3,7 @@ package repro.core.plan
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
-import repro.core.{Cmp, PropertyGraph, Schema}
+import repro.core.{PropertyGraph, Schema}
 import repro.core.index._
 import repro.core.query._
 
@@ -17,23 +17,21 @@ import repro.core.query._
   *    by a *property-store join* against ``vertexProps``/``edgeProps`` (the
   *    analogue of a per-tuple property lookup in a GDBMS).
   *
-  * Predicates are applied eagerly: after every operator, any query predicate
-  * whose variables are all matched and that was not already satisfied by an
-  * index view / index key column is evaluated — fetching properties through
-  * the property store when the access path did not cover them. This is
-  * exactly where index configurations differ in cost.
+  * Predicates are applied eagerly: every query predicate starts pending; an
+  * access removes the predicates its [[Coverage]] satisfies (filtering the
+  * key-column ones on the index), and after every operator each pending
+  * predicate whose variables are all matched is evaluated — fetching
+  * properties through the property store when the access path did not
+  * cover them. This is exactly where index configurations differ in cost.
   */
 final class Executor(g: PropertyGraph, q: QueryGraph) {
 
   private var df: DataFrame = _
-  private val matchedVs = mutable.Set[String]()
-  private val matchedEs = mutable.Set[String]()
-  private val avail     = mutable.Set[String]() // prop columns present
-  private val vChecked  = mutable.Set[(String, String)]()
-  private val eChecked  = mutable.Set[(String, String)]()
-  private val pairDone  = mutable.Set[EdgePairPred]()
-  private val eqLinked  = mutable.Map[VertexEqPred, mutable.Set[String]]()
-  private var tag       = 0
+  private val matched  = mutable.Set[String]()    // matched vertex and edge variables
+  private val avail    = mutable.Set[String]()    // prop columns present
+  private val pending  = mutable.LinkedHashSet[QPred](q.preds: _*)
+  private val eqLinked = mutable.Map[VertexEqPred, mutable.Set[String]]()
+  private var tag      = 0
 
   def execute(plan: Plan): DataFrame = {
     plan.ops.foreach {
@@ -42,10 +40,8 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
       case MultiExtendOp(p, us) => multiExtend(p, us)
     }
     settle()
-    val missingV = q.vertices.map(_.name).filterNot(matchedVs)
-    val missingE = q.edges.map(_.name).filterNot(matchedEs)
-    require(missingV.isEmpty && missingE.isEmpty,
-      s"${q.name}: incomplete plan — unmatched vertices=$missingV edges=$missingE")
+    val missing = (q.vertices.map(_.name) ++ q.edges.map(_.name)).filterNot(matched)
+    require(missing.isEmpty, s"${q.name}: incomplete plan — unmatched variables $missing")
     df.select((q.vertices.map(v => col(v.name)) ++ q.edges.map(e => col(e.name))): _*)
   }
 
@@ -56,7 +52,7 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     val cols = col(Schema.VertexId).as(v) +:
       Schema.VertexProps.map(p => col(p).as(s"${v}__$p"))
     df = g.vertices.select(cols: _*)
-    matchedVs += v
+    matched += v
     Schema.VertexProps.foreach(p => avail += s"${v}__$p")
     settle() // applies the scan vertex's local predicates on in-hand columns
   }
@@ -64,56 +60,18 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
   // -------------------------------------------------------------- extend
 
   /** Project/filter/rename one index for joining; returns (df, joinKeyCol,
-    * nbrCol or None if renamed to the new vertex). Marks predicates the
-    * index satisfies. */
+    * nbrCol or None if renamed to the new vertex). Drops the predicates the
+    * index satisfies from the pending set. */
   private def prepIndex(a: Access, newV: String, primary: Boolean): (DataFrame, String, Option[String]) = {
     tag += 1
     val ix  = a.index
     val qe  = a.qe
-    var idf = ix.df
-
+    val cov = a.coverage(q).getOrElse(
+      sys.error(s"${q.name}: ${ix.name} cannot match ${qe.name}: the query does not imply its view"))
     // Literal filters on materialized key columns (partition-key pruning /
-    // binary search into sorted lists).
-    qe.label.foreach { l =>
-      if (ix.coversAdj("eLabel")) { idf = idf.where(col("adj_eLabel") === l); eChecked += ((qe.name, "label")) }
-    }
-    qe.scalarPreds.foreach { sp =>
-      if (ix.coversAdj(sp.prop)) {
-        idf = idf.where(Cmp(col(s"adj_${sp.prop}"), sp.op, lit(sp.value)))
-        eChecked += ((qe.name, sp.toString))
-      }
-    }
-    val nv = q.vertex(newV)
-    nv.label.foreach { l =>
-      if (ix.coversNbr("vLabel")) { idf = idf.where(col("nbr_vLabel") === l); vChecked += ((newV, "label")) }
-    }
-    nv.propEq.foreach { case (p, x) =>
-      if (ix.coversNbr(p)) { idf = idf.where(col(s"nbr_$p") === x); vChecked += ((newV, p)) }
-    }
-
-    // Predicates baked into the index's global view are satisfied by construction.
-    ix.defn.viewPreds.foreach {
-      case ScalarViewPred(OnAdjEdge, "eLabel", EqOp, v) if qe.label.exists(_.toDouble == v) =>
-        eChecked += ((qe.name, "label"))
-      case ScalarViewPred(OnAdjEdge, p, op, v) =>
-        qe.scalarPreds.find(sp => sp.prop == p && sp.op == op && sp.value == v)
-          .foreach(sp => eChecked += ((qe.name, sp.toString)))
-      case ScalarViewPred(OnNbrVertex, p, EqOp, v) if nv.propEq.get(p).exists(_.toDouble == v) =>
-        vChecked += ((newV, p))
-      case ScalarViewPred(OnBoundVertex, _, _, _) => // checked when the bound var was matched
-      case _ => ()
-    }
-    a.bound match {
-      case EBound(ebVar) =>
-        // 2-path view predicates between the bound edge and qe hold by construction.
-        ix.defn.pairPreds.foreach { pp =>
-          q.edgePairs
-            .find(qp => qp.e1 == ebVar && qp.e2 == qe.name && qp.p1 == pp.bProp &&
-                        qp.p2 == pp.adjProp && qp.op == pp.op && qp.delta == pp.delta)
-            .foreach(pairDone += _)
-        }
-      case _ => ()
-    }
+    // binary search into sorted lists); view predicates hold by construction.
+    val idf = cov.keyed.foldLeft(ix.df)((d, p) => d.where(Coverage.keyColumn(p)))
+    pending --= cov.preds
 
     // Rename/select: bound key, the matched edge ID, the neighbour, and any
     // key columns carried for free into the partial match.
@@ -133,154 +91,93 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     (idf.select(sel: _*), bKey, if (primary) None else Some(nCol))
   }
 
-  private def boundKeyCol(b: Bound): Column = b match {
-    case VBound(v)  => col(v)
-    case EBound(ev) => col(ev)
-  }
-
   private def extend(newV: String, accesses: Seq[Access]): Unit = {
     require(df != null, "plan must start with a ScanOp")
     accesses.zipWithIndex.foreach { case (a, i) =>
       val primary = i == 0
       val (idf, bKey, nColOpt) = prepIndex(a, newV, primary)
-      var cond = boundKeyCol(a.bound) === col(bKey)
+      var cond = col(a.bound.name) === col(bKey)
       nColOpt.foreach(nc => cond = cond && col(newV) === col(nc))
       df = df.join(idf, cond).drop(bKey)
       nColOpt.foreach(nc => df = df.drop(nc))
-      matchedEs += a.qe.name
+      matched += a.qe.name
     }
-    matchedVs += newV
+    matched += newV
     settle()
   }
 
   private def multiExtend(prop: String, units: Seq[(String, Access)]): Unit = {
     require(df != null, "plan must start with a ScanOp")
-    val (v0, a0) = units.head
-    val (idf0, bKey0, _) = prepIndex(a0, v0, primary = true)
-    require(avail(s"${v0}__$prop"),
-      s"MULTI-EXTEND on $prop requires the index ${a0.index.name} to materialize nbr_$prop")
-    df = df.join(idf0, boundKeyCol(a0.bound) === col(bKey0)).drop(bKey0)
-    matchedVs += v0; matchedEs += a0.qe.name
-
-    units.tail.foreach { case (v, a) =>
+    val v0 = units.head._1
+    units.foreach { case (v, a) =>
       val (idf, bKey, _) = prepIndex(a, v, primary = true)
       require(avail(s"${v}__$prop"),
         s"MULTI-EXTEND on $prop requires the index ${a.index.name} to materialize nbr_$prop")
-      val cond = boundKeyCol(a.bound) === col(bKey) &&
-        col(s"${v}__$prop") === col(s"${v0}__$prop")
-      df = df.join(idf, cond).drop(bKey)
-      matchedVs += v; matchedEs += a.qe.name
+      val cond = col(a.bound.name) === col(bKey)
+      df = df.join(idf,
+        if (v == v0) cond else cond && VertexEqPred(prop, Seq(v, v0)).column(ref, col)).drop(bKey)
+      matched += v; matched += a.qe.name
     }
 
     // The intersection equated the units' `prop`; record it in the matching
     // VertexEqPred's linkage so settle() doesn't re-filter.
     val unitVars = units.map(_._1).toSet
     q.vertexEqs.filter(p => p.prop == prop && unitVars.subsetOf(p.vars.toSet)).foreach { p =>
-      val linked = eqLinked.getOrElseUpdate(p, mutable.Set())
-      if (linked.nonEmpty) {
-        val rep = linked.head
-        ensureVertexProps(rep)
-        df = df.where(col(s"${v0}__$prop") === col(s"${rep}__$prop"))
-      }
-      linked ++= unitVars
+      link(p, v0)
+      eqLinked(p) ++= unitVars
     }
     settle()
   }
 
   // ------------------------------------------------------ property store
 
-  private def ensureVertexProps(v: String): Unit = {
-    val missing = Schema.VertexProps.filterNot(p => avail(s"${v}__$p"))
-    if (missing.isEmpty) return
-    tag += 1
-    val key = s"__jv$tag"
-    val vp = g.vertexProps.select(
-      (col(Schema.VertexId).as(key) +: missing.map(p => col(p).as(s"${v}__$p"))): _*)
-    df = df.join(vp, col(v) === col(key)).drop(key)
-    missing.foreach(p => avail += s"${v}__$p")
-  }
+  private def ensureVertexProps(v: String): Unit =
+    ensureProps(v, g.vertexProps, Schema.VertexId, Schema.VertexProps)
 
-  private def ensureEdgeProps(e: String): Unit = {
-    val missing = Schema.EdgeProps.filterNot(p => avail(s"${e}__$p"))
+  private def ensureEdgeProps(e: String): Unit =
+    ensureProps(e, g.edgeProps, Schema.EdgeId, Schema.EdgeProps)
+
+  /** Join the property store `props` keyed by `id` for the properties of
+    * variable `v` not yet in hand. */
+  private def ensureProps(v: String, props: DataFrame, id: String, names: Seq[String]): Unit = {
+    val missing = names.filterNot(p => avail(s"${v}__$p"))
     if (missing.isEmpty) return
     tag += 1
-    val key = s"__je$tag"
-    val ep = g.edgeProps.select(
-      (col(Schema.EdgeId).as(key) +: missing.map(p => col(p).as(s"${e}__$p"))): _*)
-    df = df.join(ep, col(e) === col(key)).drop(key)
-    missing.foreach(p => avail += s"${e}__$p")
+    val key = s"__j$tag"
+    val sel = props.select((col(id).as(key) +: missing.map(p => col(p).as(s"${v}__$p"))): _*)
+    df = df.join(sel, col(v) === col(key)).drop(key)
+    missing.foreach(p => avail += s"${v}__$p")
   }
 
   // ---------------------------------------------------------- settle
 
   /** Evaluate every pending predicate whose variables are matched, fetching
-    * uncovered properties through the property store. */
-  private def settle(): Unit = {
-    q.vertices.filter(v => matchedVs(v.name)).foreach { v =>
-      v.label.foreach { l =>
-        if (!vChecked((v.name, "label"))) {
-          ensureVertexProps(v.name)
-          df = df.where(col(s"${v.name}__vLabel") === l)
-          vChecked += ((v.name, "label"))
-        }
+    * uncovered properties through the property store. A vertex equality is
+    * applied link by link, as soon as two of its vertices are matched. */
+  private def settle(): Unit = pending.toSeq.foreach {
+    case p: VertexEqPred =>
+      p.vars.filter(v => matched(v) && !eqLinked.get(p).exists(_(v))).foreach { v =>
+        ensureVertexProps(v)
+        link(p, v)
       }
-      v.propEq.foreach { case (p, x) =>
-        if (!vChecked((v.name, p))) {
-          ensureVertexProps(v.name)
-          df = df.where(col(s"${v.name}__$p") === x)
-          vChecked += ((v.name, p))
-        }
-      }
-      v.idEq.foreach { x =>
-        if (!vChecked((v.name, "idEq"))) { df = df.where(col(v.name) === x); vChecked += ((v.name, "idEq")) }
-      }
-      v.idLt.foreach { x =>
-        if (!vChecked((v.name, "idLt"))) { df = df.where(col(v.name) < x); vChecked += ((v.name, "idLt")) }
-      }
-    }
-
-    q.edges.filter(e => matchedEs(e.name)).foreach { e =>
-      e.label.foreach { l =>
-        if (!eChecked((e.name, "label"))) {
-          ensureEdgeProps(e.name)
-          df = df.where(col(s"${e.name}__eLabel") === l)
-          eChecked += ((e.name, "label"))
-        }
-      }
-      e.idEq.foreach { x =>
-        if (!eChecked((e.name, "idEq"))) { df = df.where(col(e.name) === x); eChecked += ((e.name, "idEq")) }
-      }
-      e.scalarPreds.foreach { sp =>
-        if (!eChecked((e.name, sp.toString))) {
-          ensureEdgeProps(e.name)
-          df = df.where(Cmp(col(s"${e.name}__${sp.prop}"), sp.op, lit(sp.value)))
-          eChecked += ((e.name, sp.toString))
-        }
-      }
-    }
-
-    q.vertexEqs.foreach { p =>
-      val linked = eqLinked.getOrElseUpdate(p, mutable.Set())
-      p.vars.filter(matchedVs).foreach { v =>
-        if (!linked(v)) {
-          ensureVertexProps(v)
-          if (linked.nonEmpty) {
-            val rep = linked.head
-            ensureVertexProps(rep)
-            df = df.where(col(s"${v}__${p.prop}") === col(s"${rep}__${p.prop}"))
-          }
-          linked += v
-        }
-      }
-    }
-
-    q.edgePairs.foreach { p =>
-      if (!pairDone(p) && matchedEs(p.e1) && matchedEs(p.e2)) {
-        ensureEdgeProps(p.e1); ensureEdgeProps(p.e2)
-        df = df.where(
-          Cmp(col(s"${p.e1}__${p.p1}"), p.op, col(s"${p.e2}__${p.p2}") + lit(p.delta)))
-        pairDone += p
-      }
-    }
+      if (eqLinked.get(p).exists(_.size == p.vars.size)) pending -= p
+    case p if (p.vVars ++ p.eVars).forall(matched) =>
+      if (p.readsProps) { p.vVars.foreach(ensureVertexProps); p.eVars.foreach(ensureEdgeProps) }
+      df = df.where(p.column(ref, col))
+      pending -= p
+    case _ => ()
   }
+
+  /** Add `v` to the linked vertices of `p`, equating its property with an
+    * already-linked one. */
+  private def link(p: VertexEqPred, v: String): Unit = {
+    val linked = eqLinked.getOrElseUpdate(p, mutable.Set())
+    linked.headOption.foreach { rep =>
+      ensureVertexProps(rep)
+      df = df.where(VertexEqPred(p.prop, Seq(v, rep)).column(ref, col))
+    }
+    linked += v
+  }
+
+  private def ref(v: String, prop: String): Column = col(s"${v}__$prop")
 }

@@ -62,8 +62,8 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
     * §5.3.1 notes the system picks the same plans under D and D+VB_t. View
     * predicates (VB) and 2-path views (EB) do narrow the estimate, which is
     * what lets the optimizer adopt the new plan shapes of §5.3.2/§5.4.
-    * Coverage of the remaining predicates is the tie-breaker (satCount). */
-  private def accessLen(q: QueryGraph, a: Access, newV: QVertex): Double = {
+    * Coverage of the remaining predicates is the tie-breaker (score). */
+  private def accessLen(a: Access): Double = {
     val ix = a.index
     val base = ix.defn.kind match {
       case EdgeBoundKind(_) => ix.stats.entries.toDouble / math.max(1L, cat.nE)
@@ -76,26 +76,11 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
     base * (if (ix.defn.kind == VertexBoundKind) viewNarrow else 1.0)
   }
 
-  /** Number of query predicates the access satisfies without a property-store
-    * lookup — tie-breaker between equal-i-cost accesses (the INDEX STORE
-    * returns the most covering index). */
-  private def satCount(q: QueryGraph, a: Access, newV: QVertex): Int = {
-    val ix = a.index
-    val fromLabels = (if (a.qe.label.nonEmpty && ix.coversAdj("eLabel")) 1 else 0) +
-      (if (newV.label.nonEmpty && ix.coversNbr("vLabel")) 1 else 0)
-    val fromScalars = a.qe.scalarPreds.count(sp => ix.coversAdj(sp.prop))
-    val fromProps = newV.propEq.keys.count(ix.coversNbr)
-    val fromView = ix.defn.viewPreds.size
-    val fromPairs = a.bound match {
-      case EBound(ebVar) =>
-        store.matchedPairPreds(ix, q, ebVar, a.qe).map(_.size).getOrElse(0)
-      case _ => 0
-    }
-    fromLabels + fromScalars + fromProps + fromView + fromPairs
-  }
-
-  private def score(q: QueryGraph, a: Access, newV: QVertex): Double =
-    accessLen(q, a, newV) * (1.0 - 1e-6 * satCount(q, a, newV))
+  /** Accesses of equal i-cost are told apart by the number of query
+    * predicates they satisfy without a property-store lookup (the INDEX
+    * STORE returns the most covering index). */
+  private def score(q: QueryGraph, a: Access): Double =
+    accessLen(a) * (1.0 - 1e-6 * a.coverage(q).fold(0)(_.size))
 
   /** Full-selectivity cardinality multiplier of matching `qe` (primary
     * extension if `primary`, else a closing/intersected edge). */
@@ -153,12 +138,12 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
       val picks = conn.map { qe =>
         val boundVar = if (s(qe.from)) qe.from else qe.to
         val cands = candidates(q, qe, boundVar, s)
-        if (cands.isEmpty) None else Some(cands.minBy(score(q, _, newV)))
+        if (cands.isEmpty) None else Some(cands.minBy(score(q, _)))
       }
       if (picks.exists(_.isEmpty)) None
       else {
-        val accesses = picks.flatten.sortBy(score(q, _, newV))
-        val iCost = sv.cost + sv.card * accesses.map(score(q, _, newV)).sum
+        val accesses = picks.flatten.sortBy(score(q, _))
+        val iCost = sv.cost + sv.card * accesses.map(score(q, _)).sum
         var mult = idSel(newV) *
           newV.propEq.keys.map(cat.vPropSel).product *
           eqLinkSel(q, s, Seq(nv), None)
@@ -199,13 +184,13 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
           val boundVar = if (s(qe.from)) qe.from else qe.to
           val cs = candidates(q, qe, boundVar, s).filter(_.index.coversNbr(p.prop))
           if (cs.isEmpty) None
-          else Some((v, cs.minBy(score(q, _, q.vertex(v)))))
+          else Some((v, cs.minBy(score(q, _))))
         }
         if (units.exists(_.isEmpty)) None
         else {
           val us = units.flatten
           val iCost = sv.cost +
-            sv.card * us.map { case (v, a) => score(q, a, q.vertex(v)) }.sum
+            sv.card * us.map { case (_, a) => score(q, a) }.sum
           var mult = eqLinkSel(q, s, sub, Some(p.prop)) *
             math.pow(cat.vPropSel(p.prop), sub.size - 1)
           val me = matchedEdges(q, s)

@@ -1,5 +1,9 @@
 package repro.core.query
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.lit
+import repro.core.Cmp
+
 /** Comparison operators shared by query predicates and index-view predicates. */
 sealed trait CmpOp { def sql: String }
 case object Lt extends CmpOp { val sql = "<"  }
@@ -32,14 +36,53 @@ final case class QEdge(
     idEq: Option[Long] = None,
 )
 
+/** One conjunct of a query's WHERE clause: the unit the INDEX STORE, the
+  * optimizer and the Executor reason about when deciding which predicates an
+  * access path satisfies (see [[repro.core.index.Coverage]]).
+  *
+  * @param vVars vertex variables the predicate relates
+  * @param eVars edge variables the predicate relates
+  * @param keyProp the property of the predicate's one variable that it
+  *                compares with a literal: what an index key column on that
+  *                property can satisfy
+  * @param readsProps false when the predicate compares variable IDs only, so
+  *                   it never needs a property-store lookup
+  */
+sealed abstract class QPred(val vVars: Seq[String], val eVars: Seq[String],
+                            val keyProp: Option[String] = None, val readsProps: Boolean = true) {
+  /** The predicate as a Spark Column: `prop(v, p)` resolves property `p` of
+    * variable `v`, and `id(v)` its ID. */
+  def column(prop: (String, String) => Column, id: String => Column): Column = this match {
+    case VLabel(v, l)       => prop(v, "vLabel") === l
+    case VProp(v, p, x)     => prop(v, p) === x
+    case VIdEq(v, x)        => id(v) === x
+    case VIdLt(v, x)        => id(v) < x
+    case ELabel(e, l)       => prop(e, "eLabel") === l
+    case EIdEq(e, x)        => id(e) === x
+    case EScalar(e, sp)     => Cmp(prop(e, sp.prop), sp.op, lit(sp.value))
+    case VertexEqPred(p, vs) =>
+      vs.sliding(2).map { case Seq(a, b) => prop(a, p) === prop(b, p) }.reduce(_ && _)
+    case EdgePairPred(e1, p1, op, e2, p2, d) => Cmp(prop(e1, p1), op, prop(e2, p2) + lit(d))
+  }
+}
+
+final case class VLabel(v: String, label: Int) extends QPred(Seq(v), Nil, Some("vLabel"))
+final case class VProp(v: String, prop: String, value: Int) extends QPred(Seq(v), Nil, Some(prop))
+final case class VIdEq(v: String, id: Long) extends QPred(Seq(v), Nil, readsProps = false)
+final case class VIdLt(v: String, id: Long) extends QPred(Seq(v), Nil, readsProps = false)
+final case class ELabel(e: String, label: Int) extends QPred(Nil, Seq(e), Some("eLabel"))
+final case class EIdEq(e: String, id: Long) extends QPred(Nil, Seq(e), readsProps = false)
+final case class EScalar(e: String, pred: EdgeScalarPred) extends QPred(Nil, Seq(e), Some(pred.prop))
+
 /** Property equality across ≥ 2 query vertices: ``a2.city = a4.city = ...``. */
-final case class VertexEqPred(prop: String, vars: Seq[String]) {
+final case class VertexEqPred(prop: String, vars: Seq[String]) extends QPred(vars, Nil) {
   require(vars.size >= 2, s"VertexEqPred needs >=2 vars, got $vars")
 }
 
 /** A cross-edge predicate ``e1.p1 OP e2.p2 + delta`` (the money-flow form). */
 final case class EdgePairPred(
     e1: String, p1: String, op: CmpOp, e2: String, p2: String, delta: Double = 0.0)
+    extends QPred(Nil, Seq(e1, e2))
 
 /** A subgraph query: the join component of an openCypher MATCH/WHERE.
   *
@@ -66,6 +109,18 @@ final case class QueryGraph(
   edgePairs.foreach { p =>
     require(eNames(p.e1) && eNames(p.e2), s"$name: edgePair on unknown edge")
   }
+
+  /** Every conjunct of the WHERE clause, in evaluation order: each vertex's
+    * label, property, ID-equality and ID-bound predicates, then each edge's
+    * label, ID-equality and scalar predicates, then the cross predicates. */
+  lazy val preds: Seq[QPred] = (
+    vertices.flatMap(v =>
+      v.label.map(VLabel(v.name, _)) ++ v.propEq.map { case (p, x) => VProp(v.name, p, x) } ++
+        v.idEq.map(VIdEq(v.name, _)) ++ v.idLt.map(VIdLt(v.name, _))) ++
+    edges.flatMap(e =>
+      e.label.map(ELabel(e.name, _)) ++ e.idEq.map(EIdEq(e.name, _)) ++
+        e.scalarPreds.map(EScalar(e.name, _))) ++
+    vertexEqs ++ edgePairs).distinct
 
   def vertex(n: String): QVertex = vertices.find(_.name == n).get
   def edge(n: String): QEdge     = edges.find(_.name == n).get

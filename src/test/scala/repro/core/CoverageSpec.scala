@@ -1,0 +1,118 @@
+package repro.core
+
+import org.apache.spark.sql.catalyst.plans.logical.Join
+import repro.{SparkSpec, TestFixtures => F}
+import repro.core.index._
+import repro.core.plan._
+import repro.core.query._
+import repro.workloads.{MagicRecs, MoneyFlow, SubgraphQueries}
+
+/** What an access path satisfies of a query's predicates ([[Coverage]]), and
+  * the guard that this coverage reaches the executed plan: a lost key-column
+  * or view coverage keeps the rows right but adds a property-store join. */
+class CoverageSpec extends SparkSpec {
+
+  // a -e-> b with a predicate of every single-variable kind an index can cover
+  private val q = QueryGraph("q",
+    Seq(QVertex("a", propEq = Map("acc" -> 1)),
+        QVertex("b", label = Some(1), propEq = Map("city" -> 2))),
+    Seq(QEdge("e", "a", "b", label = Some(1),
+      scalarPreds = Seq(EdgeScalarPred("amt", Gt, 500.0)))))
+  private val eLabel = ELabel("e", 1)
+  private val amt    = EScalar("e", EdgeScalarPred("amt", Gt, 500.0))
+  private val vLabel = VLabel("b", 1)
+  private val city   = VProp("b", "city", 2)
+
+  private def vb(keys: Seq[Key], views: ScalarViewPred*): IndexDefn =
+    IndexDefn("VB", VertexBoundKind, Fwd, partKeys = keys, viewPreds = views)
+
+  private val eLabelKey = Seq(Key(AdjEdge, "eLabel"))
+
+  // (case, index, expected (keyed, byView); None = unusable)
+  private val cases: Seq[(String, IndexDefn, Option[(Set[QPred], Set[QPred])])] = Seq(
+    ("an OnAdjEdge view predicate the query implies",
+      vb(Nil, ScalarViewPred(OnAdjEdge, "amt", Gt, 500.0)), Some((Set(), Set(amt)))),
+    ("an OnAdjEdge view predicate the query does not imply",
+      vb(Nil, ScalarViewPred(OnAdjEdge, "amt", Gt, 900.0)), None),
+    ("an OnAdjEdge view predicate on the edge label",
+      vb(Nil, ScalarViewPred(OnAdjEdge, "eLabel", EqOp, 1.0)), Some((Set(), Set(eLabel)))),
+    ("an OnNbrVertex view predicate the query implies",
+      vb(Nil, ScalarViewPred(OnNbrVertex, "city", EqOp, 2.0)), Some((Set(), Set(city)))),
+    ("an OnBoundVertex view predicate is required but not counted",
+      vb(Nil, ScalarViewPred(OnBoundVertex, "acc", EqOp, 1.0)), Some((Set(), Set()))),
+    ("an OnBoundVertex view predicate the query does not imply",
+      vb(Nil, ScalarViewPred(OnBoundVertex, "acc", EqOp, 2.0)), None),
+    ("a key column on eLabel",
+      vb(eLabelKey), Some((Set(eLabel), Set()))),
+    ("an eLabel both keyed and in the view counts once",
+      vb(eLabelKey, ScalarViewPred(OnAdjEdge, "eLabel", EqOp, 1.0)), Some((Set(eLabel), Set()))),
+    ("key columns on vLabel and a scalar edge property",
+      vb(Seq(Key(NbrVertex, "vLabel"), Key(AdjEdge, "amt"))), Some((Set(vLabel, amt), Set()))),
+    ("a key column on a neighbour property (propEq)",
+      vb(Seq(Key(NbrVertex, "city"))), Some((Set(city), Set()))),
+  )
+
+  for ((name, defn, expected) <- cases) {
+    test(s"coverage: $name") {
+      val ix = APlusIndex.build(F.financial, defn, 2)
+      val got = Coverage.of(ix, q, q.edge("e"), "a", "b")
+      assert(got.map(c => (c.keyed.toSet, c.byView.toSet)) == expected)
+      got.foreach(c => assert(c.size == c.preds.toSet.size, "a predicate counted twice"))
+      ix.unpersist()
+    }
+  }
+
+  private val path = QueryGraph("path",
+    Seq(QVertex("a1"), QVertex("a2"), QVertex("a3")),
+    Seq(QEdge("e1", "a1", "a2"), QEdge("e2", "a2", "a3")),
+    edgePairs = MoneyFlow.flowPairs("e1", "e2", F.Alpha))
+
+  test("coverage: an edge-bound view whose pair predicates the query states") {
+    val eb = F.finDEBplain.store.indexes.find(_.isEdgeBound).get
+    val got = Coverage.of(eb, path, path.edge("e2"), "e1", "a3")
+    assert(got.map(c => (c.keyed.toSet, c.byView.toSet)) == Some((Set(), path.edgePairs.toSet)))
+  }
+
+  test("coverage: an edge-bound view with a pair predicate the query lacks is unusable") {
+    val eb = F.finDEBplain.store.indexes.find(_.isEdgeBound).get
+    val narrower = path.copy(edgePairs = path.edgePairs.take(2))
+    assert(Coverage.of(eb, narrower, narrower.edge("e2"), "e1", "a3").isEmpty)
+  }
+
+  // ---- access-path join counts
+
+  /** List accesses of a plan: E/I accesses plus MULTI-EXTEND units. */
+  private def accesses(p: Plan): Int = p.ops.map {
+    case ExtendOp(_, as)      => as.size
+    case MultiExtendOp(_, us) => us.size
+    case ScanOp(_)            => 0
+  }.sum
+
+  private def assertJoins(cfg: SystemConfig, q: QueryGraph, propertyStoreJoins: Int): Unit = {
+    val p = cfg.plan(q)
+    val joins = new Executor(cfg.g, q).execute(p)
+      .queryExecution.optimizedPlan.collect { case j: Join => j }.size
+    assert(joins == accesses(p) + propertyStoreJoins, s"${q.name} under ${cfg.name}: ${p.describe}")
+  }
+
+  private val sqs = SubgraphQueries.forLabels(nVLabels = 3, nELabels = 2)
+
+  test("SQ1-SQ13 under Ds and Dp: one join per list access") {
+    for (q <- sqs; cfg <- Seq(F.cfgDs, F.cfgDp)) assertJoins(cfg, q, 0)
+  }
+
+  test("SQ1-SQ13 under D: plus one vertex property-store join per extended vertex") {
+    for (q <- sqs) assertJoins(F.cfgD, q, q.vertices.size - 1)
+  }
+
+  test("MF 2-edge path: one join per access under D+EBmf, two edge property-store joins more under D") {
+    val q = MoneyFlow.twoEdgePath(F.Alpha)
+    assertJoins(F.finDEBplain, q, 0)
+    assertJoins(F.finD, q, 2)
+  }
+
+  test("MR1-MR3 under D+VBt: one join per list access") {
+    for (q <- MagicRecs.queries(timeThreshold = 800, a1Limit = Some(150L)))
+      assertJoins(F.finDVBt, q, 0)
+  }
+}

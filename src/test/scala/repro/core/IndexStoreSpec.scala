@@ -66,14 +66,14 @@ class IndexStoreSpec extends SparkSpec {
     assert(store.edgeBoundCandidates(q3, q3.edge("e2"), q3.edge("e1"), "a2").isEmpty)
   }
 
-  test("matchedPairPreds returns the query predicates the view satisfies") {
+  test("Coverage returns the query predicates the view satisfies") {
     val store = F.finDVBcEBc.store
     val eb = store.indexes.find(_.isEdgeBound).get
     val q = QueryGraph("q",
       Seq(QVertex("a1"), QVertex("a2"), QVertex("a3")),
       Seq(QEdge("e1", "a1", "a2"), QEdge("e2", "a2", "a3")),
       edgePairs = repro.workloads.MoneyFlow.flowPairs("e1", "e2", F.Alpha))
-    val matched = store.matchedPairPreds(eb, q, "e1", q.edge("e2"))
-    assert(matched.exists(_.size == 3))
+    val cov = Coverage.of(eb, q, q.edge("e2"), "e1", "a3")
+    assert(cov.exists(_.byView.toSet == q.edgePairs.toSet) && q.edgePairs.size == 3)
   }
 }

@@ -109,10 +109,13 @@ class IndirectionBenchSpec extends AnyFunSuite {
     assert(seq._1 > 0)
   }
 
-  test("path budget caps the per-source work") {
-    val (c, _) = IndirectionBench.kHop(csr, IndirectionBench.Sequential, sources, 3,
-      maxPathsPerSource = 10L)
-    assert(c <= 10L * sources.length)
+  test("walk counts equal kHop's path count per source") {
+    val walks = IndirectionBench.walkCounts(csr, 3)
+    (0 until csr.nV).foreach { v =>
+      val (c, _) = IndirectionBench.kHop(csr, IndirectionBench.Sequential, Array(v), 3)
+      assert(walks(v) == c, s"vertex $v")
+    }
+    assert(walks.exists(_ > 0))
   }
 
   test("1-hop count equals summed degrees of the sources") {
