@@ -69,42 +69,53 @@ final case class Catalogue(
 
 object Catalogue {
 
+  private val NumericEdgeProps = Seq("amt", "date", "time", "currency")
+
+  /** Two Spark aggregates — vertices by their property values, edges by
+    * (edge label, src label, dst label) — and every statistic derived from
+    * their integer counts on the driver. */
   def build(g: PropertyGraph): Catalogue = {
     val nV = g.numVertices
     val nE = g.numEdges
 
-    val vLabelFrac = g.vertices
-      .groupBy("vLabel").count().collect()
-      .map(r => r.getInt(0) -> r.getLong(1).toDouble / nV).toMap
-
-    val vPropCard = Schema.VertexProps.map { p =>
-      p -> g.vertices.select(countDistinct(col(p))).head().getLong(0)
+    val vGroups = g.vertices.groupBy(Schema.VertexProps.map(col): _*).count().collect()
+    val vLabelFrac = vGroups
+      .groupMapReduce(_.getInt(0))(_.getLong(Schema.VertexProps.size))(_ + _)
+      .map { case (l, n) => l -> n.toDouble / nV }
+    val vPropCard = Schema.VertexProps.indices.map { i =>
+      Schema.VertexProps(i) -> vGroups.filterNot(_.isNullAt(i)).map(_.get(i)).distinct.length.toLong
     }.toMap
 
-    // Edges joined with neighbour labels once, reused for both directions.
-    def degs(dir: Direction): (Map[(Direction, Int), Double], Map[(Direction, Int, Int), Double]) = {
-      val nbrLab = g.vertices.select(col(Schema.VertexId).as("__v"), col("vLabel").as("__nl"))
-      val e = g.edges
-        .select(col(dir.nbrCol).as("__nbr"), col("eLabel"))
-        .join(nbrLab, col("__nbr") === col("__v"))
-      val byL = e.groupBy("eLabel").count().collect()
-        .map(r => (dir, r.getInt(0)) -> r.getLong(1).toDouble / nV).toMap
-      val byLN = e.groupBy("eLabel", "__nl").count().collect()
-        .map(r => (dir, r.getInt(0), r.getInt(1)) -> r.getLong(2).toDouble / nV).toMap
-      (byL, byLN)
-    }
-    val (fwdL, fwdLN) = degs(Fwd)
-    val (bwdL, bwdLN) = degs(Bwd)
+    // Each edge with its endpoints' labels, looked up in a broadcast table.
+    def endLabel(end: String) = broadcast(g.vertices.select(
+      col(Schema.VertexId).as(s"__$end"), col("vLabel").as(s"${end}Label")))
+    val eGroups = g.edges
+      .join(endLabel(Schema.Src), col(Schema.Src) === col(s"__${Schema.Src}"))
+      .join(endLabel(Schema.Dst), col(Schema.Dst) === col(s"__${Schema.Dst}"))
+      .groupBy("eLabel", s"${Schema.Src}Label", s"${Schema.Dst}Label")
+      .agg(count(lit(1)), NumericEdgeProps.flatMap(p =>
+        Seq(min(col(p)).cast("double"), max(col(p)).cast("double"))): _*)
+      .collect()
+      .map(r => EdgeGroup(r.getInt(0), Map(Bwd -> r.getInt(1), Fwd -> r.getInt(2)), r.getLong(3),
+        NumericEdgeProps.indices.map(i => (r.getDouble(4 + 2 * i), r.getDouble(5 + 2 * i)))))
 
-    val numericProps = Seq("amt", "date", "time", "currency")
-    val rangeRow = g.edges.select(
-      numericProps.flatMap(p =>
-        Seq(min(col(p)).cast("double").as(s"min_$p"), max(col(p)).cast("double").as(s"max_$p"))): _*
-    ).head()
-    val ranges = numericProps.zipWithIndex.map { case (p, i) =>
-      p -> (rangeRow.getDouble(2 * i), rangeRow.getDouble(2 * i + 1))
+    /** Edges per graph vertex, summed over the groups sharing a key. */
+    def perVertex[K](key: EdgeGroup => K): Map[K, Double] =
+      eGroups.groupMapReduce(key)(_.n)(_ + _).map { case (k, n) => k -> n.toDouble / nV }
+    val dirs = Seq[Direction](Fwd, Bwd)
+    val degByLabel = dirs.flatMap(d => perVertex[(Direction, Int)](e => (d, e.eLabel))).toMap
+    val degByLabelNbr =
+      dirs.flatMap(d => perVertex[(Direction, Int, Int)](e => (d, e.eLabel, e.nbrLabel(d)))).toMap
+
+    val ranges = NumericEdgeProps.zipWithIndex.map { case (p, i) =>
+      p -> (eGroups.map(_.ranges(i)._1).min, eGroups.map(_.ranges(i)._2).max)
     }.toMap
 
-    Catalogue(nV, nE, vLabelFrac, vPropCard, fwdL ++ bwdL, fwdLN ++ bwdLN, ranges)
+    Catalogue(nV, nE, vLabelFrac, vPropCard, degByLabel, degByLabelNbr, ranges)
   }
+
+  /** One (edge label, src label, dst label) group: its edge count and the
+    * min/max of each numeric edge property. */
+  private final case class EdgeGroup(
+      eLabel: Int, nbrLabel: Map[Direction, Int], n: Long, ranges: Seq[(Double, Double)])
 }

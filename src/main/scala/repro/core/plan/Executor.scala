@@ -23,6 +23,13 @@ import repro.core.query._
   * predicate whose variables are all matched is evaluated — fetching
   * properties through the property store when the access path did not
   * cover them. This is exactly where index configurations differ in cost.
+  *
+  * Every index access and property-store read is a broadcast hash join: the
+  * already-filtered index (or property) DataFrame is the build side, keyed on
+  * the bound vertex or edge ID, and the partial match probes it — the
+  * analogue of an index nested-loop lookup "ID → list" (§4.2). The Executor
+  * states the physical operator itself, so no shuffle or sort is planned per
+  * join whatever the session's size-based broadcast threshold.
   */
 final class Executor(g: PropertyGraph, q: QueryGraph) {
 
@@ -98,7 +105,7 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
       val (idf, bKey, nColOpt) = prepIndex(a, newV, primary)
       var cond = col(a.bound.name) === col(bKey)
       nColOpt.foreach(nc => cond = cond && col(newV) === col(nc))
-      df = df.join(idf, cond).drop(bKey)
+      df = df.join(broadcast(idf), cond).drop(bKey)
       nColOpt.foreach(nc => df = df.drop(nc))
       matched += a.qe.name
     }
@@ -114,7 +121,7 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
       require(avail(s"${v}__$prop"),
         s"MULTI-EXTEND on $prop requires the index ${a.index.name} to materialize nbr_$prop")
       val cond = col(a.bound.name) === col(bKey)
-      df = df.join(idf,
+      df = df.join(broadcast(idf),
         if (v == v0) cond else cond && VertexEqPred(prop, Seq(v, v0)).column(ref, col)).drop(bKey)
       matched += v; matched += a.qe.name
     }
@@ -145,7 +152,7 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     tag += 1
     val key = s"__j$tag"
     val sel = props.select((col(id).as(key) +: missing.map(p => col(p).as(s"${v}__$p"))): _*)
-    df = df.join(sel, col(v) === col(key)).drop(key)
+    df = df.join(broadcast(sel), col(v) === col(key)).drop(key)
     missing.foreach(p => avail += s"${v}__$p")
   }
 

@@ -53,4 +53,38 @@ class CatalogueSpec extends SparkSpec {
     assert(cat.vPropCard("acc") == 2)
     assert(cat.vPropSel("acc") == 0.5)
   }
+
+  /** The catalogue recomputed in plain Scala from the collected rows: one
+    * count per statistic, as separate aggregations over the vertex and edge
+    * tables (a list's neighbour must be a graph vertex). */
+  private def recomputed(g: PropertyGraph): Catalogue = {
+    val vs = g.vertices.collect().toSeq
+    val es = g.edges.collect().toSeq
+    val nV = vs.size.toLong
+    val label = vs.map(r => r.getAs[Long](Schema.VertexId) -> r.getAs[Int]("vLabel")).toMap
+    def perV[K](rows: Seq[K]): Map[K, Double] =
+      rows.groupBy(identity).map { case (k, ks) => k -> ks.size.toDouble / nV }
+    val dirs = Seq[Direction](Fwd, Bwd)
+    def withNbr(d: Direction) = es.filter(r => label.contains(r.getAs[Long](d.nbrCol)))
+    val numeric = Seq("amt", "date", "time", "currency")
+    Catalogue(
+      nV = nV,
+      nE = es.size.toLong,
+      vLabelFrac = perV(vs.map(_.getAs[Int]("vLabel"))),
+      vPropCard = Schema.VertexProps.map(p => p -> vs.map(_.getAs[Any](p)).distinct.size.toLong).toMap,
+      degByLabel = dirs.flatMap(d =>
+        perV(withNbr(d).map(r => (d, r.getAs[Int]("eLabel"))))).toMap,
+      degByLabelNbr = dirs.flatMap(d =>
+        perV(withNbr(d).map(r => (d, r.getAs[Int]("eLabel"), label(r.getAs[Long](d.nbrCol)))))).toMap,
+      ePropRange = numeric.map { p =>
+        val xs = es.map(_.getAs[Number](p).doubleValue)
+        p -> (xs.min, xs.max)
+      }.toMap)
+  }
+
+  for ((name, g) <- Seq("tiny" -> (() => F.tiny), "labelled" -> (() => F.labelled),
+                        "financial" -> (() => F.financial)))
+    test(s"catalogue equals a plain-Scala recomputation on the $name graph") {
+      assert(Catalogue.build(g()) == recomputed(g()))
+    }
 }

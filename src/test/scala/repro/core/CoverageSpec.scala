@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.optimizer.BuildRight
 import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec, SortMergeJoinExec}
 import repro.{SparkSpec, TestFixtures => F}
 import repro.core.index._
 import repro.core.plan._
@@ -114,5 +116,32 @@ class CoverageSpec extends SparkSpec {
   test("MR1-MR3 under D+VBt: one join per list access") {
     for (q <- MagicRecs.queries(timeThreshold = 800, a1Limit = Some(150L)))
       assertJoins(F.finDVBt, q, 0)
+  }
+
+  // ---- physical join shape
+
+  /** Every logical join of the executed query is a hash probe into a
+    * broadcast build side on the right (the index or property table). */
+  private def assertBroadcastProbes(cfg: SystemConfig, q: QueryGraph): Unit = {
+    val qe = cfg.run(q).queryExecution
+    val what = s"${q.name} under ${cfg.name}:\n${qe.sparkPlan}"
+    assert(qe.sparkPlan.collect { case j: SortMergeJoinExec => j }.isEmpty, what)
+    val joins = qe.sparkPlan.collect { case j: BaseJoinExec => j }
+    assert(joins.forall {
+      case j: BroadcastHashJoinExec => j.buildSide == BuildRight
+      case _                        => false
+    }, what)
+    assert(joins.size == qe.optimizedPlan.collect { case j: Join => j }.size, what)
+  }
+
+  test("SQ1-SQ13, MF and MR1-MR3: every join is a broadcast hash join built on the right, none sort-merge") {
+    for (q <- sqs; cfg <- Seq(F.cfgD, F.cfgDs, F.cfgDp)) assertBroadcastProbes(cfg, q)
+    assertBroadcastProbes(F.finDEBplain, MoneyFlow.twoEdgePath(F.Alpha))
+    for (q <- MagicRecs.queries(timeThreshold = 800, a1Limit = Some(150L)))
+      assertBroadcastProbes(F.finDVBt, q)
+    // MULTI-EXTEND's unit joins
+    val mf1 = MoneyFlow.queries(F.Alpha, 200).head
+    assert(F.finDVBc.plan(mf1).ops.exists(_.isInstanceOf[MultiExtendOp]))
+    assertBroadcastProbes(F.finDVBc, mf1)
   }
 }
