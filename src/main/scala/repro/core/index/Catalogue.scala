@@ -80,10 +80,10 @@ object Catalogue {
 
     val vGroups = g.vertices.groupBy(Schema.VertexProps.map(col): _*).count().collect()
     val vLabelFrac = vGroups
-      .groupMapReduce(_.getInt(0))(_.getLong(Schema.VertexProps.size))(_ + _)
+      .groupMapReduce(_.getAs[Int]("vLabel"))(_.getAs[Long]("count"))(_ + _)
       .map { case (l, n) => l -> n.toDouble / nV }
-    val vPropCard = Schema.VertexProps.indices.map { i =>
-      Schema.VertexProps(i) -> vGroups.filterNot(_.isNullAt(i)).map(_.get(i)).distinct.length.toLong
+    val vPropCard = Schema.VertexProps.map { p =>
+      p -> vGroups.map(_.getAs[Any](p)).filter(_ != null).distinct.length.toLong
     }.toMap
 
     // Each edge with its endpoints' labels, looked up in a broadcast table.
