@@ -13,8 +13,13 @@ import repro.storage._
   */
 object Section3Runner {
 
-  def run(nV: Int = 480000, nE: Int = 6850000, sources: Int = 100, hops: Int = 5,
-          maxPathsPerSource: Long = 2000000L): String = {
+  val nV = 480000
+  val nE = 6850000
+  val sources = 100
+  val hops = 5
+  val maxPathsPerSource = 2000000L
+
+  def run(): String = {
     val sb = new StringBuilder
     sb ++= Bench.banner(s"Section 3: offset-list indirection microbenchmark " +
       s"(nV=$nV nE=$nE sources=$sources hops=$hops cap=$maxPathsPerSource)")
@@ -60,8 +65,6 @@ object Section3Runner {
     sb ++= f"\nmemory: ID lists ${Bench.mb(idBytes)}%.1f MB; offset-list index " +
       f"${Bench.mb(offBytes)}%.1f MB -> overhead ${(idBytes + offBytes).toDouble / idBytes}%.2fx " +
       "(copying IDs would be 2.00x)"
-    val out = sb.toString
-    println(out)
-    out
+    sb.toString
   }
 }

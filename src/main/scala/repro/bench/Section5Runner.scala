@@ -47,8 +47,6 @@ object Section5Runner {
     sb ++= s"\nEach cell: median inserts/s of ${Maintenance.Trials} timed trials (after one warm-up call of " +
       s"${Maintenance.Trials}) and, in brackets, their range (max - min) as a % of the median.\n"
     sb ++= Bench.table("dataset" +: cfgs.map(_.name), rows)
-    val out = sb.toString
-    println(out)
-    out
+    sb.toString
   }
 }

@@ -30,8 +30,6 @@ object Table2Runner {
     sb ++= Bench.table(
       Seq("name", "|V| (ours)", "|E| (ours)", "avg deg (ours)",
           "|V| (paper)", "|E| (paper)", "avg deg (paper)"), rows)
-    val out = sb.toString
-    println(out)
-    out
+    sb.toString
   }
 }

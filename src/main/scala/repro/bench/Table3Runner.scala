@@ -1,16 +1,13 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.SystemConfig
-import repro.core.index.Catalogue
+import repro.bench.Bench.Setting
 import repro.workloads.{Datasets, IndexConfigs, SubgraphQueries}
 
 /** Table 3 (§5.2): default A+ index reconfiguration — D vs D_s vs D_p on the
   * labelled subgraph workload SQ1–SQ13, per dataset; runtime + model memory.
   */
 object Table3Runner {
-
-  final case class Setting(ds: Datasets.DatasetDef, nVL: Int, nEL: Int)
 
   val settings: Seq[Setting] = Seq(
     Setting(Datasets.Ork, 8, 2),
@@ -19,52 +16,10 @@ object Table3Runner {
     Setting(Datasets.Brk, 2, 2),
   )
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          queryNames: Option[Seq[String]] = None,
-          only: Option[Seq[String]] = None): String = {
-    Bench.tune(spark)
-    val sb = new StringBuilder
-    sb ++= Bench.banner(s"Table 3: default A+ index reconfiguration (scale=$scale)")
-
-    for (s <- settings if only.forall(_.contains(s.ds.name))) {
-      val g = s.ds.generate(spark, s.nVL, s.nEL, scale)
-      val cat = Catalogue.build(g)
-      Bench.progress(s"dataset ready: |V|=${g.numVertices} |E|=${g.numEdges}")
-      val queries = {
-        val all = SubgraphQueries.forLabels(s.nVL, s.nEL)
-        queryNames.map(ns => all.filter(q => ns.contains(q.name))).getOrElse(all)
-      }
-      val dsLabel = s"${s.ds.name}_{${s.nVL},${s.nEL}}"
-      sb ++= s"\n\n--- $dsLabel  (|V|=${g.numVertices} |E|=${g.numEdges}) ---\n"
-
-      var baseline = Map.empty[String, Double]
-      var counts   = Map.empty[String, Long]
-      val rows = Seq("D" -> IndexConfigs.D, "D_s" -> IndexConfigs.Ds, "D_p" -> IndexConfigs.Dp)
-        .map { case (cn, defns) =>
-          val cfg = SystemConfig.build(cn, g, defns, cat, 8)
-          Bench.progress(s"built config $cn; warming")
-          cfg.count(queries.head) // warm the caches / JIT once per config
-          val cells = queries.map { q =>
-            Bench.progress(s"$cn ${q.name}: ${cfg.plan(q).describe}")
-            val (c, t) = Bench.time(cfg.count(q))
-            counts.get(q.name) match {
-              case Some(prev) => require(prev == c, s"${q.name}: $cn returned $c, expected $prev")
-              case None       => counts += q.name -> c
-            }
-            if (cn == "D") baseline += q.name -> t
-            val su = if (cn == "D") "" else " " + Bench.speedup(baseline(q.name), t)
-            Bench.fmtSecs(t) + su
-          }
-          val mem = f"${Bench.mb(cfg.memoryBytes)}%.1f"
-          cfg.unpersist()
-          (cn +: cells) :+ mem
-        }
-      sb ++= Bench.table(("cfg" +: queries.map(_.name)) :+ "Mm(MB)", rows)
-      sb ++= "\ncounts: " + queries.map(q => s"${q.name}=${counts(q.name)}").mkString(" ")
-      g.uncache()
-    }
-    val out = sb.toString
-    println(out)
-    out
-  }
+  def run(spark: SparkSession, scale: Double = 1.0): String =
+    Bench.banner(s"Table 3: default A+ index reconfiguration (scale=$scale)") +
+      settings.map { s =>
+        Bench.configBlock(s.label, s.generate(spark, scale), SubgraphQueries.forLabels(s.nVL, s.nEL),
+          Seq("D" -> IndexConfigs.D, "D_s" -> IndexConfigs.Ds, "D_p" -> IndexConfigs.Dp))
+      }.mkString
 }

@@ -1,8 +1,6 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.SystemConfig
-import repro.core.index.Catalogue
 import repro.workloads.{Datasets, IndexConfigs, MagicRecs}
 
 /** Table 4 (§5.3.1): the MagicRecs workload under D vs D+VB_t (a secondary
@@ -15,53 +13,16 @@ object Table4Runner {
   val datasets: Seq[Datasets.DatasetDef] =
     Seq(Datasets.Brk, Datasets.WT, Datasets.LJ, Datasets.Ork)
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          only: Option[Seq[String]] = None): String = {
-    Bench.tune(spark)
-    val sb = new StringBuilder
-    sb ++= Bench.banner(s"Table 4: MagicRecs under D vs D+VB_t (scale=$scale)")
-
-    for (ds <- datasets if only.forall(_.contains(ds.name))) {
-      val g = ds.generate(spark, 1, 1, scale)
-      val cat = Catalogue.build(g)
-      Bench.progress(s"dataset ready: |V|=${g.numVertices} |E|=${g.numEdges}")
-      // 5%-selectivity recency cutoff; MR3 anchored on the two big datasets,
-      // mirroring the paper's fixed-vertex subsets.
-      val threshold = 0.95 * 1000000
-      val a1Limit =
-        if (ds.name == "LJ" || ds.name == "Ork") Some((g.numVertices * 0.05).toLong.max(2L))
-        else None
-      val queries = MagicRecs.queries(threshold, a1Limit)
-
-      sb ++= s"\n\n--- ${ds.name}  (|V|=${g.numVertices} |E|=${g.numEdges}) ---\n"
-      var baseline = Map.empty[String, Double]
-      var counts   = Map.empty[String, Long]
-      val rows = Seq("D" -> IndexConfigs.D, "D+VB_t" -> (IndexConfigs.D :+ IndexConfigs.VBt))
-        .map { case (cn, defns) =>
-          val cfg = SystemConfig.build(cn, g, defns, cat, 8)
-          Bench.progress(s"built config $cn; warming")
-          cfg.count(queries.head)
-          val cells = queries.map { q =>
-            Bench.progress(s"$cn ${q.name}: ${cfg.plan(q).describe}")
-            val (c, t) = Bench.time(cfg.count(q))
-            counts.get(q.name) match {
-              case Some(prev) => require(prev == c, s"${q.name}: $cn returned $c, expected $prev")
-              case None       => counts += q.name -> c
-            }
-            if (cn == "D") baseline += q.name -> t
-            val su = if (cn == "D") "" else " " + Bench.speedup(baseline(q.name), t)
-            Bench.fmtSecs(t) + su
-          }
-          val mem = f"${Bench.mb(cfg.memoryBytes)}%.1f"
-          cfg.unpersist()
-          (cn +: cells) :+ mem
-        }
-      sb ++= Bench.table(("cfg" +: queries.map(_.name)) :+ "Mm(MB)", rows)
-      sb ++= "\ncounts: " + queries.map(q => s"${q.name}=${counts(q.name)}").mkString(" ")
-      g.uncache()
-    }
-    val out = sb.toString
-    println(out)
-    out
-  }
+  def run(spark: SparkSession, scale: Double = 1.0): String =
+    Bench.banner(s"Table 4: MagicRecs under D vs D+VB_t (scale=$scale)") +
+      datasets.map { ds =>
+        val g = ds.generate(spark, 1, 1, scale)
+        // 5%-selectivity recency cutoff; MR3 anchored on the two big datasets,
+        // mirroring the paper's fixed-vertex subsets.
+        val a1Limit =
+          if (ds.name == "LJ" || ds.name == "Ork") Some((g.numVertices * 0.05).toLong.max(2L))
+          else None
+        Bench.configBlock(ds.name, g, MagicRecs.queries(0.95 * 1000000, a1Limit),
+          Seq("D" -> IndexConfigs.D, "D+VB_t" -> (IndexConfigs.D :+ IndexConfigs.VBt)))
+      }.mkString
 }

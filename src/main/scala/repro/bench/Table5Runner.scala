@@ -1,8 +1,6 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.SystemConfig
-import repro.core.index.Catalogue
 import repro.workloads.{Datasets, IndexConfigs, MoneyFlow}
 
 /** Table 5 (§5.3.2/§5.4): the fraud-detection workload MF1–MF5 under D,
@@ -17,52 +15,13 @@ object Table5Runner {
   /** α at 5 % selectivity of the amount band on amt ∈ [1, 1000]. */
   val Alpha = 50.0
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          only: Option[Seq[String]] = None,
-          idLtFrac: Double = 0.2): String = {
-    Bench.tune(spark)
-    val sb = new StringBuilder
-    sb ++= Bench.banner(s"Table 5: fraud detection under D / D+VB_c / D+VB_c+EB_c (scale=$scale)")
-
-    for (ds <- datasets if only.forall(_.contains(ds.name))) {
-      val g = ds.generate(spark, 1, 1, scale)
-      val cat = Catalogue.build(g)
-      Bench.progress(s"dataset ready: |V|=${g.numVertices} |E|=${g.numEdges}")
-      val queries = MoneyFlow.queries(Alpha, g.numVertices, idLtFrac)
-
-      sb ++= s"\n\n--- ${ds.name}  (|V|=${g.numVertices} |E|=${g.numEdges}) ---\n"
-      var baseline = Map.empty[String, Double]
-      var counts   = Map.empty[String, Long]
-      val cfgs = Seq(
-        "D"           -> IndexConfigs.D,
-        "D+VB_c"      -> (IndexConfigs.D ++ IndexConfigs.VBc),
-        "D+VB_c+EB_c" -> (IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(Alpha)))
-      val rows = cfgs.map { case (cn, defns) =>
-        val cfg = SystemConfig.build(cn, g, defns, cat, 8)
-        Bench.progress(s"built config $cn; warming")
-        cfg.count(queries.head)
-        val cells = queries.map { q =>
-          Bench.progress(s"$cn ${q.name}: ${cfg.plan(q).describe}")
-          val (c, t) = Bench.time(cfg.count(q))
-          counts.get(q.name) match {
-            case Some(prev) => require(prev == c, s"${q.name}: $cn returned $c, expected $prev")
-            case None       => counts += q.name -> c
-          }
-          if (cn == "D") baseline += q.name -> t
-          val su = if (cn == "D") "" else " " + Bench.speedup(baseline(q.name), t)
-          Bench.fmtSecs(t) + su
-        }
-        val mem = f"${Bench.mb(cfg.memoryBytes)}%.1f"
-        val eIdx = cfg.edgesIndexed.toString
-        cfg.unpersist()
-        ((cn +: cells) :+ mem) :+ eIdx
-      }
-      sb ++= Bench.table(("cfg" +: queries.map(_.name)) ++ Seq("Mem(MB)", "|E_indexed|"), rows)
-      sb ++= "\ncounts: " + queries.map(q => s"${q.name}=${counts(q.name)}").mkString(" ")
-      g.uncache()
-    }
-    val out = sb.toString
-    println(out)
-    out
-  }
+  def run(spark: SparkSession, scale: Double = 1.0): String =
+    Bench.banner(s"Table 5: fraud detection under D / D+VB_c / D+VB_c+EB_c (scale=$scale)") +
+      datasets.map { ds =>
+        val g = ds.generate(spark, 1, 1, scale)
+        Bench.configBlock(ds.name, g, MoneyFlow.queries(Alpha, g.numVertices), Seq(
+          "D"           -> IndexConfigs.D,
+          "D+VB_c"      -> (IndexConfigs.D ++ IndexConfigs.VBc),
+          "D+VB_c+EB_c" -> (IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(Alpha))))
+      }.mkString
 }

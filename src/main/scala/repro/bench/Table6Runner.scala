@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
-import repro.core.SystemConfig
+import repro.bench.Bench.Contender
 import repro.core.index.Catalogue
 import repro.workloads.{Datasets, IndexConfigs, MoneyFlow}
 
@@ -16,41 +16,25 @@ object Table6Runner {
     Seq("25%" -> 250.0, "5%" -> 50.0, "0.05%" -> 0.5)
 
   def run(spark: SparkSession, scale: Double = 1.0): String = {
-    Bench.tune(spark)
-    val sb = new StringBuilder
-    sb ++= Bench.banner(s"Table 6: EB selectivity sweep on LJ (scale=$scale)")
-
     val g = Datasets.LJ.generate(spark, 1, 1, scale)
     val cat = Catalogue.build(g)
-    sb ++= s"\n(|V|=${g.numVertices} |E|=${g.numEdges})\n"
+    val head = Bench.banner(s"Table 6: EB selectivity sweep on LJ (scale=$scale)") +
+      s"\n(|V|=${g.numVertices} |E|=${g.numEdges})\n"
 
     val header = Seq("selectivity", "D(s)", "D+EB(s)", "speedup",
                      "Mm D(MB)", "Mm D+EB(MB)", "|E_indexed|")
     val rows = selectivities.map { case (label, alpha) =>
-      val q = MoneyFlow.twoEdgePath(alpha)
-      val d = SystemConfig.build("D", g, IndexConfigs.D, cat, 8)
-      d.count(q) // warm
-      val (cD, tD) = Bench.time(d.count(q))
-      val memD = d.memoryBytes
-      d.unpersist()
-
-      val eb = SystemConfig.build("D+EB", g,
-        IndexConfigs.D :+ IndexConfigs.EBplain(alpha), cat, 8)
-      eb.count(q)
-      val (cEB, tEB) = Bench.time(eb.count(q))
-      require(cD == cEB, s"$label: D=$cD D+EB=$cEB")
-      val memEB = eb.memoryBytes
-      val eIdx  = eb.edgesIndexed
-      eb.unpersist()
-
-      Seq(label, Bench.fmtSecs(tD), Bench.fmtSecs(tEB), Bench.speedup(tD, tEB),
-          f"${Bench.mb(memD)}%.1f", f"${Bench.mb(memEB)}%.1f (${memEB.toDouble / memD}%.2fx)",
-          eIdx.toString)
+      val Seq(d, eb) = Bench.compare(Seq(MoneyFlow.twoEdgePath(alpha)), Seq(
+        Contender.config("D", g, IndexConfigs.D, cat),
+        Contender.config("D+EB", g, IndexConfigs.D :+ IndexConfigs.EBplain(alpha), cat)))
+      val (tD, tEB) = (d.secs.head, eb.secs.head)
+      Seq(label, Bench.fmtSecs(tD), Bench.fmtSecs(tEB),
+          Bench.factor(tD, tEB, d.counts.head),
+          f"${Bench.mb(d.memoryBytes)}%.1f",
+          f"${Bench.mb(eb.memoryBytes)}%.1f (${eb.memoryBytes.toDouble / d.memoryBytes}%.2fx)",
+          eb.edgesIndexed.toString)
     }
-    sb ++= Bench.table(header, rows)
     g.uncache()
-    val out = sb.toString
-    println(out)
-    out
+    head + Bench.table(header, rows)
   }
 }

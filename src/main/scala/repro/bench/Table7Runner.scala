@@ -2,8 +2,9 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BinaryJoinEvaluator, FrontierEvaluator}
-import repro.core.SystemConfig
+import repro.bench.Bench.{Contender, Engine, Setting}
 import repro.core.index.Catalogue
+import repro.core.query.QueryGraph
 import repro.workloads.{Datasets, IndexConfigs, SubgraphQueries}
 
 /** Table 7 (§5.6): GraphflowDB (our engine, D_p configuration) vs the
@@ -12,51 +13,38 @@ import repro.workloads.{Datasets, IndexConfigs, SubgraphQueries}
   */
 object Table7Runner {
 
-  final case class Setting(ds: Datasets.DatasetDef, nVL: Int, nEL: Int)
   val settings: Seq[Setting] = Seq(Setting(Datasets.LJ, 12, 2), Setting(Datasets.WT, 4, 2))
   val queryNames: Seq[String] = Seq("SQ1", "SQ2", "SQ3", "SQ13")
 
-  def run(spark: SparkSession, scale: Double = 1.0): String = {
-    Bench.tune(spark)
-    val sb = new StringBuilder
-    sb ++= Bench.banner(s"Table 7: GF(D_p) vs TigerGraph-like vs Neo4j-like (scale=$scale)")
-
-    for (s <- settings) {
-      val g = s.ds.generate(spark, s.nVL, s.nEL, scale)
-      val cat = Catalogue.build(g)
-      val queries = queryNames.map(SubgraphQueries.byName(s.nVL, s.nEL, _))
-      sb ++= s"\n\n--- ${s.ds.name}_{${s.nVL},${s.nEL}}  (|V|=${g.numVertices} |E|=${g.numEdges}) ---\n"
-
-      val gf = SystemConfig.build("GF", g, IndexConfigs.Dp, cat, 8)
-      val n4 = new BinaryJoinEvaluator(g, cat)
-      gf.count(queries.head); n4.count(queries.head) // warm both engines
-
-      var counts = Map.empty[String, Long]
-      var gfT    = Map.empty[String, Double]
-
-      val gfRow = "GF (D_p)" +: queries.map { q =>
-        val (c, t) = Bench.time(gf.count(q))
-        counts += q.name -> c; gfT += q.name -> t
-        Bench.fmtSecs(t)
-      }
-      val tgRow = "TG-like" +: queries.map { q =>
-        val (c, t) = Bench.time(FrontierEvaluator.count(g, q))
-        require(c == counts(q.name), s"${q.name}: TG=$c GF=${counts(q.name)}")
-        s"${Bench.fmtSecs(t)} ${Bench.speedup(t, gfT(q.name))}"
-      }
-      val n4Row = "N4-like" +: queries.map { q =>
-        val (c, t) = Bench.time(n4.count(q))
-        require(c == counts(q.name), s"${q.name}: N4=$c GF=${counts(q.name)}")
-        s"${Bench.fmtSecs(t)} ${Bench.speedup(t, gfT(q.name))}"
-      }
-      sb ++= Bench.table("system" +: queryNames, Seq(gfRow, tgRow, n4Row))
-      sb ++= "\n(parenthesised factor = system time / GF time, i.e. slowdown vs GF, as in the paper)"
-      sb ++= "\ncounts: " + queries.map(q => s"${q.name}=${counts(q.name)}").mkString(" ")
-      gf.unpersist(); n4.unpersist()
-      g.uncache()
-    }
-    val out = sb.toString
-    println(out)
-    out
-  }
+  def run(spark: SparkSession, scale: Double = 1.0): String =
+    Bench.banner(s"Table 7: GF(D_p) vs TigerGraph-like vs Neo4j-like (scale=$scale)") +
+      settings.map { s =>
+        val g = s.generate(spark, scale)
+        val cat = Catalogue.build(g)
+        val queries = queryNames.map(SubgraphQueries.byName(s.nVL, s.nEL, _))
+        val title = s"\n\n--- ${s.label}  (|V|=${g.numVertices} |E|=${g.numEdges}) ---\n"
+        val runs = Bench.compare(queries, Seq(
+          Contender.config("GF (D_p)", g, IndexConfigs.Dp, cat),
+          Contender("TG-like", Nil, () => new Engine {
+            def count(q: QueryGraph): Long = FrontierEvaluator.count(g, q)
+          }),
+          Contender("N4-like", Nil, () => {
+            val n4 = new BinaryJoinEvaluator(g, cat)
+            new Engine {
+              def count(q: QueryGraph): Long = n4.count(q)
+              override def release(): Unit = n4.unpersist()
+            }
+          })))
+        g.uncache()
+        val gf = runs.head
+        val rows = runs.map { r =>
+          r.name +: queries.indices.map { i =>
+            val t = Bench.fmtSecs(r.secs(i))
+            if (r eq gf) t else s"$t ${Bench.factor(r.secs(i), gf.secs(i), gf.counts(i))}"
+          }
+        }
+        title + Bench.table("system" +: queryNames, rows) +
+          "\n(parenthesised factor = system time / GF time, i.e. slowdown vs GF, as in the paper)" +
+          Bench.countsLine(queries, gf)
+      }.mkString
 }

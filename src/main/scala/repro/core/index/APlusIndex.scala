@@ -27,7 +27,7 @@ final case class IndexStats(entries: Long, nLists: Long) {
   */
 final case class APlusIndex(defn: IndexDefn, df: DataFrame, stats: IndexStats) {
   def name: String = defn.name
-  def isEdgeBound: Boolean = defn.kind.isInstanceOf[EdgeBoundKind]
+  def isEdgeBound: Boolean = defn.isEdgeBound
   def boundCol: String = if (isEdgeBound) "boundE" else "bound"
   def hasCol(c: String): Boolean = df.columns.contains(c)
   /** Does this index materialize property `prop` of the adjacent edge? */

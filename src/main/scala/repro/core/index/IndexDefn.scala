@@ -91,6 +91,7 @@ final case class IndexDefn(
   }
 
   def isDefault: Boolean = kind == DefaultKind
+  def isEdgeBound: Boolean = kind.isInstanceOf[EdgeBoundKind]
   /** All properties of the adjacent edge this index materializes as columns. */
   def adjProps: Seq[String] =
     (partKeys ++ sortKeys).filter(_.target == AdjEdge).map(_.prop).distinct

@@ -13,6 +13,19 @@ class GraphGenSpec extends SparkSpec {
     assert(g1.vertices.collect().toSeq == g2.vertices.collect().toSeq)
   }
 
+  test("generator does not depend on the session's leaf parallelism") {
+    val spec = GraphSpec("leaf", 300, 2000, nVLabels = 3, nELabels = 2, seed = 43L)
+    def sorted(g: PropertyGraph) =
+      (g.vertices.orderBy("vId").collect().toSeq, g.edges.orderBy("eId").collect().toSeq)
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    val before = spark.conf.getOption(key)
+    val atDefault = sorted(GraphGen.generate(spark, spec))
+    spark.conf.set(key, "3")
+    val atThree = try sorted(GraphGen.generate(spark, spec))
+      finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    assert(atThree == atDefault)
+  }
+
   test("vertex and edge counts match the spec") {
     assert(F.tiny.numVertices == 60)
     assert(F.tiny.numEdges == 300)
