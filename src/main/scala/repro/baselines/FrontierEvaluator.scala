@@ -1,8 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.core.{Cmp, PropertyGraph, Schema}
+import repro.core.{PropertyGraph, Schema}
 import repro.core.query._
 
 /** "TigerGraph-like" baseline for §5.6 (Table 7).
@@ -52,26 +52,19 @@ object FrontierEvaluator {
     centers.find(c => q.edges.forall(e => e.from == c || e.to == c))
   }
 
-  private def vertexFilter(v: QVertex): Column = {
-    var c = lit(true)
-    v.label.foreach(l => c = c && col("vLabel") === l)
-    v.propEq.foreach { case (p, x) => c = c && col(p) === x }
-    v.idEq.foreach(x => c = c && col(Schema.VertexId) === x)
-    v.idLt.foreach(x => c = c && col(Schema.VertexId) < x)
-    c
-  }
+  /** Rows of `df` that satisfy the predicates of `q` on variable `v` alone,
+    * its properties read from `df`'s columns and its ID from column `id`. */
+  private def where(df: DataFrame, q: QueryGraph, v: String, id: String): DataFrame =
+    q.preds.filter(p => (p.vVars ++ p.eVars) == Seq(v))
+      .foldLeft(df)((d, p) => d.where(p.column((_, prop) => col(prop), _ => col(id))))
 
-  private def edgeScan(g: PropertyGraph, e: QEdge, outOf: Boolean): DataFrame = {
-    var df = g.edges
-    e.label.foreach(l => df = df.where(col("eLabel") === l))
-    e.scalarPreds.foreach(sp => df = df.where(Cmp(col(sp.prop), sp.op, lit(sp.value))))
-    e.idEq.foreach(x => df = df.where(col(Schema.EdgeId) === x))
+  private def edgeScan(g: PropertyGraph, q: QueryGraph, e: QEdge, outOf: Boolean): DataFrame = {
     val (key, next) = if (outOf) (Schema.Src, Schema.Dst) else (Schema.Dst, Schema.Src)
-    df.select(col(key).as("__cur"), col(next).as("__next"))
+    where(g.edges, q, e.name, Schema.EdgeId).select(col(key).as("__cur"), col(next).as("__next"))
   }
 
-  private def constrainedVertices(g: PropertyGraph, v: QVertex, as: String): DataFrame =
-    g.vertices.where(vertexFilter(v)).select(col(Schema.VertexId).as(as))
+  private def constrainedVertices(g: PropertyGraph, q: QueryGraph, v: String, as: String): DataFrame =
+    where(g.vertices, q, v, Schema.VertexId).select(col(Schema.VertexId).as(as))
 
   /** Homomorphism count via multiplicity-weighted frontier expansion. */
   def count(g: PropertyGraph, q: QueryGraph): Long = {
@@ -86,14 +79,14 @@ object FrontierEvaluator {
   }
 
   private def countChain(g: PropertyGraph, q: QueryGraph, order: Seq[String]): Long = {
-    var frontier = constrainedVertices(g, q.vertex(order.head), "__cur")
+    var frontier = constrainedVertices(g, q, order.head, "__cur")
       .withColumn("__mult", lit(1L))
     order.sliding(2).foreach { case Seq(a, b) =>
       val e = q.edges.find(e => Set(e.from, e.to) == Set(a, b)).get
-      val scan = edgeScan(g, e, outOf = e.from == a)
+      val scan = edgeScan(g, q, e, outOf = e.from == a)
       frontier = frontier
         .join(scan, "__cur")
-        .join(constrainedVertices(g, q.vertex(b), "__next"), "__next")
+        .join(constrainedVertices(g, q, b, "__next"), "__next")
         .groupBy(col("__next").as("__cur"))
         .agg(sum("__mult").as("__mult"))
         .select(col("__cur"), col("__mult"))
@@ -102,12 +95,12 @@ object FrontierEvaluator {
   }
 
   private def countStar(g: PropertyGraph, q: QueryGraph, center: String): Long = {
-    var acc = constrainedVertices(g, q.vertex(center), "__c").withColumn("__mult", lit(1L))
+    var acc = constrainedVertices(g, q, center, "__c").withColumn("__mult", lit(1L))
     q.edges.foreach { e =>
       val leaf = if (e.from == center) e.to else e.from
-      val scan = edgeScan(g, e, outOf = e.from == center)
+      val scan = edgeScan(g, q, e, outOf = e.from == center)
         .withColumnRenamed("__cur", "__c")
-        .join(constrainedVertices(g, q.vertex(leaf), "__next"), "__next")
+        .join(constrainedVertices(g, q, leaf, "__next"), "__next")
         .groupBy("__c").agg(org.apache.spark.sql.functions.count(lit(1L)).as("__bc"))
       acc = acc.join(scan, "__c")
         .select(col("__c"), (col("__mult") * col("__bc")).as("__mult"))

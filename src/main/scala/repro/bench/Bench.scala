@@ -91,9 +91,9 @@ object Bench {
     "\ncounts: " + queries.zip(run.counts).map { case (q, n) => s"${q.name}=$n" }.mkString(" ")
 
   /** Tables 3–5: a row per configuration with each query's seconds and, from
-    * the second row on, its speedup over the first; then model memory, and
-    * |E_indexed| when some configuration has an edge-bound index; then the
-    * agreed counts. */
+    * the second row on, its speedup over the first; then model memory (from
+    * the second row on, with its ratio to the first's), and |E_indexed| when
+    * some configuration has an edge-bound index; then the agreed counts. */
   def render(queries: Seq[QueryGraph], runs: Seq[Run]): String = {
     val base = runs.head
     val showE = runs.exists(_.contender.defns.exists(_.isEdgeBound))
@@ -102,7 +102,8 @@ object Bench {
         val t = fmtSecs(r.secs(i))
         if (r eq base) t else s"$t ${factor(base.secs(i), r.secs(i), base.counts(i))}"
       }
-      (r.name +: cells :+ f"${mb(r.memoryBytes)}%.1f") ++ Option.when(showE)(r.edgesIndexed.toString)
+      val mem = if (r eq base) f"${mb(r.memoryBytes)}%.1f" else memRatio(r.memoryBytes, base.memoryBytes)
+      (r.name +: cells :+ mem) ++ Option.when(showE)(r.edgesIndexed.toString)
     }
     val header = ("cfg" +: queries.map(_.name) :+ "Mm(MB)") ++ Option.when(showE)("|E_indexed|")
     table(header, rows) + countsLine(queries, base)
@@ -132,6 +133,10 @@ object Bench {
   }
 
   def mb(bytes: Long): Double = bytes / 1e6
+
+  /** Model memory in MB with its ratio to `base` bytes: 0.1 MB hides the
+    * few-percent overheads the paper reports. */
+  def memRatio(bytes: Long, base: Long): String = f"${mb(bytes)}%.1f (${bytes.toDouble / base}%.2fx)"
 
   def fmtSecs(s: Double): String = f"$s%.2f"
 

@@ -17,7 +17,7 @@ object Table2Runner {
 
   def run(spark: SparkSession, scale: Double = 1.0): String = {
     val sb = new StringBuilder
-    sb ++= Bench.banner(s"Table 2: datasets (synthetic, scale=$scale of the 1/200-scale specs)")
+    sb ++= Bench.banner(s"Table 2: datasets (synthetic, scale=$scale of the 1/200-scale specs)") + "\n"
     val rows = Datasets.all.map { ds =>
       val g = ds.generate(spark, 1, 1, scale)
       val (nV, nE) = (g.numVertices, g.numEdges)

@@ -31,7 +31,7 @@ object Table6Runner {
       Seq(label, Bench.fmtSecs(tD), Bench.fmtSecs(tEB),
           Bench.factor(tD, tEB, d.counts.head),
           f"${Bench.mb(d.memoryBytes)}%.1f",
-          f"${Bench.mb(eb.memoryBytes)}%.1f (${eb.memoryBytes.toDouble / d.memoryBytes}%.2fx)",
+          Bench.memRatio(eb.memoryBytes, d.memoryBytes),
           eb.edgesIndexed.toString)
     }
     g.uncache()

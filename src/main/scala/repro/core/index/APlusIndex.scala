@@ -1,9 +1,9 @@
 package repro.core.index
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
-import repro.core.{Cmp, PropertyGraph, Schema}
+import repro.core.{PropertyGraph, Schema}
 
 /** Cardinality statistics of a built index, used by the optimizer's i-cost. */
 final case class IndexStats(entries: Long, nLists: Long) {
@@ -39,12 +39,27 @@ final case class APlusIndex(defn: IndexDefn, df: DataFrame, stats: IndexStats) {
 
 object APlusIndex {
 
-  /** Build (materialize + cache) the index described by `defn` over `g`. */
-  def build(g: PropertyGraph, defn: IndexDefn, numPartitions: Int = 8): APlusIndex =
-    defn.kind match {
-      case DefaultKind | VertexBoundKind => buildVertexPartitioned(g, defn, numPartitions)
-      case EdgeBoundKind(shape)          => buildEdgeBound(g, defn, shape, numPartitions)
+  /** Build (materialize + cache) the index described by `defn` over `g`:
+    * the adjacent edges with every property of each role the view or the
+    * keys read, filtered by the view, keeping the ID and key columns. */
+  def build(g: PropertyGraph, defn: IndexDefn, numPartitions: Int = 8): APlusIndex = {
+    val (adjacent, bound, idCols) = defn.kind match {
+      case EdgeBoundKind(shape) => (twoPaths(g, shape), "boundE", Seq("boundE", "sharedV", "eId", "nbr"))
+      case _ =>
+        val d = defn.dir
+        val edges = g.edges.select((Seq(col(d.boundCol).as("bound"), col(Schema.EdgeId).as("eId"),
+          col(d.nbrCol).as("nbr")) ++ roleProps(Role.Adj, Schema.EdgeProps)): _*)
+        (edges, "bound", Seq("bound", "eId", "nbr"))
     }
+    def reads(role: String) = defn.view.exists(_.vVars.contains(role))
+    var df = adjacent
+    if (defn.nbrProps.nonEmpty || reads(Role.Nbr)) df = withVertexProps(g, df, "nbr", Role.Nbr)
+    if (reads(Role.Bound)) df = withVertexProps(g, df, bound, Role.Bound)
+    val ids = Map(Role.Bound -> bound, Role.Adj -> "eId", Role.Nbr -> "nbr")
+    df = defn.view.foldLeft(df)((d, p) =>
+      d.where(p.column((role, prop) => col(s"${role}_$prop"), role => col(ids(role)))))
+    layoutAndCache(df.select((idCols ++ keyCols(defn)).map(col): _*), defn, bound, numPartitions)
+  }
 
   private def keyCols(defn: IndexDefn): Seq[String] =
     (defn.partKeys ++ defn.sortKeys).map(_.colName).distinct
@@ -64,77 +79,35 @@ object APlusIndex {
     APlusIndex(defn, ordered, IndexStats(entries, nLists))
   }
 
-  private def buildVertexPartitioned(g: PropertyGraph, defn: IndexDefn,
-                                     numPartitions: Int): APlusIndex = {
-    val d = defn.dir
-    val adjProps =
-      (defn.adjProps ++ defn.viewPreds.collect { case ScalarViewPred(OnAdjEdge, p, _, _) => p }).distinct
-    val nbrProps =
-      (defn.nbrProps ++ defn.viewPreds.collect { case ScalarViewPred(OnNbrVertex, p, _, _) => p }).distinct
-    val boundProps =
-      defn.viewPreds.collect { case ScalarViewPred(OnBoundVertex, p, _, _) => p }.distinct
+  /** Columns `props` renamed ``<role>_<p>``. */
+  private def roleProps(role: String, props: Seq[String]): Seq[Column] =
+    props.map(p => col(p).as(s"${role}_$p"))
 
-    var df = g.edges.select(
-      (Seq(col(d.boundCol).as("bound"), col(Schema.EdgeId).as("eId"), col(d.nbrCol).as("nbr")) ++
-        adjProps.map(p => col(p).as(s"adj_$p"))): _*)
-
-    if (nbrProps.nonEmpty) {
-      val vp = g.vertices.select(
-        (col(Schema.VertexId).as("__nv") +: nbrProps.map(p => col(p).as(s"nbr_$p"))): _*)
-      df = df.join(vp, col("nbr") === col("__nv")).drop("__nv")
-    }
-    if (boundProps.nonEmpty) {
-      val vp = g.vertices.select(
-        (col(Schema.VertexId).as("__bv") +: boundProps.map(p => col(p).as(s"bnd_$p"))): _*)
-      df = df.join(vp, col("bound") === col("__bv")).drop("__bv")
-    }
-
-    defn.viewPreds.foreach { vp =>
-      val c = vp.target match {
-        case OnAdjEdge     => col(s"adj_${vp.prop}")
-        case OnNbrVertex   => col(s"nbr_${vp.prop}")
-        case OnBoundVertex => col(s"bnd_${vp.prop}")
-      }
-      df = df.where(Cmp(c, vp.op, lit(vp.value)))
-    }
-
-    val outCols = Seq("bound", "eId", "nbr") ++ keyCols(defn)
-    layoutAndCache(df.select(outCols.map(col): _*), defn, "bound", numPartitions)
+  /** `df` joined with the properties of the vertex in its column `id`, as
+    * ``<role>_<p>`` columns. */
+  private def withVertexProps(g: PropertyGraph, df: DataFrame, id: String, role: String): DataFrame = {
+    val vp = g.vertices.select(
+      (col(Schema.VertexId).as(s"__$role") +: roleProps(role, Schema.VertexProps)): _*)
+    df.join(vp, col(id) === col(s"__$role")).drop(s"__$role")
   }
 
-  private def buildEdgeBound(g: PropertyGraph, defn: IndexDefn, shape: EBShape,
-                             numPartitions: Int): APlusIndex = {
-    val bProps = defn.pairPreds.map(_.bProp).distinct
-    val aProps = (defn.adjProps ++ defn.pairPreds.map(_.adjProp)).distinct
-
+  /** The 2-paths of `shape`: bound edge ``boundE`` (its properties as
+    * ``bnd_<p>``), shared vertex ``sharedV``, adjacent edge ``eId`` (its
+    * properties as ``adj_<p>``) and its other end ``nbr``. */
+  private def twoPaths(g: PropertyGraph, shape: EBShape): DataFrame = {
     val sharedOfB = if (shape.sharedIsDst) Schema.Dst else Schema.Src
     val eb = g.edges.select(
       (Seq(col(Schema.EdgeId).as("boundE"), col(sharedOfB).as("sharedV")) ++
-        bProps.map(p => col(p).as(s"b_$p"))): _*)
+        roleProps(Role.Bound, Schema.EdgeProps)): _*)
 
     val (adjAnchor, adjNbr) =
       if (shape.adjOutgoing) (Schema.Src, Schema.Dst) else (Schema.Dst, Schema.Src)
     val adj = g.edges.select(
-      (Seq(col(Schema.EdgeId).as("eId"), col(adjAnchor).as("__anchor"),
-           col(adjNbr).as("nbr")) ++
-        aProps.map(p => col(p).as(s"adj_$p"))): _*)
+      (Seq(col(Schema.EdgeId).as("eId"), col(adjAnchor).as("__anchor"), col(adjNbr).as("nbr")) ++
+        roleProps(Role.Adj, Schema.EdgeProps)): _*)
 
-    var df = eb
-      .join(adj, col("sharedV") === col("__anchor"))
+    eb.join(adj, col("sharedV") === col("__anchor"))
       .drop("__anchor")
       .where(col("boundE") =!= col("eId")) // an edge is not its own 2-path partner
-    defn.pairPreds.foreach { pp =>
-      df = df.where(Cmp(col(s"b_${pp.bProp}"), pp.op, col(s"adj_${pp.adjProp}") + lit(pp.delta)))
-    }
-
-    val nbrProps = defn.nbrProps
-    if (nbrProps.nonEmpty) {
-      val vp = g.vertices.select(
-        (col(Schema.VertexId).as("__nv") +: nbrProps.map(p => col(p).as(s"nbr_$p"))): _*)
-      df = df.join(vp, col("nbr") === col("__nv")).drop("__nv")
-    }
-
-    val outCols = Seq("boundE", "sharedV", "eId", "nbr") ++ keyCols(defn)
-    layoutAndCache(df.select(outCols.map(col): _*), defn, "boundE", numPartitions)
   }
 }

@@ -52,6 +52,21 @@ final case class Catalogue(
     }
   }
 
+  /** Selectivity of one predicate among the entries of an adjacency list of
+    * one edge label, as `listLen` gives them: an edge-label predicate is
+    * 1.0 there, a vertex label its share of the vertices. */
+  def sel(p: QPred): Double = p match {
+    case VLabel(_, l)            => labelSel(Some(l))
+    case VProp(_, prop, _)       => vPropSel(prop)
+    case VIdEq(_, _)             => 1.0 / nV
+    case VIdLt(_, k)             => math.min(1.0, k.toDouble / nV)
+    case ELabel(_, _)            => 1.0
+    case EIdEq(_, _)             => 1.0 / nE
+    case EScalar(_, sp)          => scalarSel(sp)
+    case VertexEqPred(prop, vs)  => math.pow(vPropSel(prop), vs.size - 1)
+    case pp: EdgePairPred        => pairSel(pp)
+  }
+
   /** Analytic selectivity of ``e1.p1 OP e2.p2 + delta`` for independent
     * uniform props: ~0.5 for a pure comparison, ~delta/range for the paper's
     * α-band (`Lt` with positive delta following a `Gt`). */

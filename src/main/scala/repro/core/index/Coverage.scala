@@ -10,9 +10,8 @@ import repro.core.query._
   * @param keyed  predicates on a property the index materializes as a key
   *               column; they still need a filter on the index DataFrame,
   *               which prunes to the matching partitions and sorted ranges
-  * @param byView predicates implied by the index's view (vertex-bound view
-  *               predicates, edge-bound pair predicates): they hold for every
-  *               entry by construction
+  * @param byView predicates implied by the index's view: they hold for
+  *               every entry by construction
   */
 final case class Coverage(keyed: Seq[QPred], byView: Seq[QPred]) {
   def preds: Seq[QPred] = keyed ++ byView
@@ -25,38 +24,24 @@ object Coverage {
     * `bound` (a vertex for default and vertex-bound indexes, an edge for
     * edge-bound ones) and reaching vertex `nbr`.
     *
-    * None when the query does not imply one of the index's view or pair
-    * predicates: the view might then miss matches, so the index is unusable.
-    * Implication is structural (an exact match with a query predicate), as
+    * None when the query does not imply the index's view: the view might
+    * then miss matches, so the index is unusable. The view, renamed from its
+    * [[Role]] variables to the access's, is implied when each of its
+    * predicates is a predicate of the query: implication is structural, as
     * the paper's INDEX STORE inspects declared predicates rather than running
-    * a general implication engine. A view predicate on the bound vertex is
-    * required but not counted: that vertex was matched, and its predicates
-    * applied, before this access.
+    * a general implication engine. A view predicate on the bound vertex alone
+    * is required but not counted: that vertex was matched, and its
+    * predicates applied, before this access.
     */
   def of(ix: APlusIndex, q: QueryGraph, qe: QEdge, bound: String, nbr: String): Option[Coverage] = {
-    def implied(vp: ScalarViewPred): Option[QPred] = q.preds.find {
-      case ELabel(e, l)      => vp.target == OnAdjEdge && e == qe.name &&
-                                vp.prop == "eLabel" && vp.op == EqOp && vp.value == l
-      case EScalar(e, sp)    => vp.target == OnAdjEdge && e == qe.name &&
-                                sp == EdgeScalarPred(vp.prop, vp.op, vp.value)
-      case VProp(v, p, x)    => vp.op == EqOp && p == vp.prop && x == vp.value &&
-                                (vp.target == OnNbrVertex && v == nbr ||
-                                 vp.target == OnBoundVertex && v == bound)
-      case _                 => false
-    }
-    def paired(pp: PairViewPred): Option[QPred] = q.edgePairs.find(qp =>
-      qp.e1 == bound && qp.e2 == qe.name && qp.p1 == pp.bProp && qp.p2 == pp.adjProp &&
-        qp.op == pp.op && qp.delta == pp.delta)
-
-    val views = ix.defn.viewPreds.map(vp => (vp, implied(vp)))
-    val pairs = ix.defn.pairPreds.map(paired)
-    if (views.exists(_._2.isEmpty) || pairs.exists(_.isEmpty)) None
+    val roles = Map(Role.Bound -> bound, Role.Adj -> qe.name, Role.Nbr -> nbr)
+    val view = ix.defn.view.map(_.rename(roles))
+    if (!view.forall(q.preds.contains)) None
     else {
       val keyed =
         q.preds.filter(p => p.eVars == Seq(qe.name) && p.keyProp.exists(ix.coversAdj)) ++
         q.preds.filter(p => p.vVars == Seq(nbr) && p.keyProp.exists(ix.coversNbr))
-      val byView = views.collect { case (vp, Some(p)) if vp.target != OnBoundVertex => p } ++
-        pairs.flatten
+      val byView = view.filterNot(_.vVars == Seq(bound))
       Some(Coverage(keyed, byView.distinct.filterNot(keyed.contains)))
     }
   }

@@ -1,6 +1,6 @@
 package repro.core.index
 
-import repro.core.query.CmpOp
+import repro.core.query.{EdgePairPred, QPred}
 
 /** Which side of the edge is the bound (primary-partitioning) vertex. */
 sealed trait Direction { def boundCol: String; def nbrCol: String }
@@ -32,6 +32,16 @@ case object VertexBoundKind extends IndexKind
 /** Secondary edge-bound index: a view over 2-paths, edge-ID partitioned. */
 final case class EdgeBoundKind(shape: EBShape) extends IndexKind
 
+/** The fixed variables an index view is written over, named after the
+  * column prefixes of the built index: the bound vertex (vertex-bound
+  * indexes) or bound edge (edge-bound indexes), the adjacent edge and the
+  * neighbour vertex. */
+object Role {
+  val Bound = "bnd"
+  val Adj   = "adj"
+  val Nbr   = "nbr"
+}
+
 /** A secondary partitioning or sorting criterion: a property of the adjacent
   * edge (``e_adj``) or of the neighbour vertex (``v_nbr``). */
 sealed trait KeyTarget
@@ -41,32 +51,21 @@ case object NbrVertex extends KeyTarget
 final case class Key(target: KeyTarget, prop: String) {
   /** Canonical column name the built index DataFrame materializes. */
   def colName: String = target match {
-    case AdjEdge   => s"adj_$prop"
-    case NbrVertex => s"nbr_$prop"
+    case AdjEdge   => s"${Role.Adj}_$prop"
+    case NbrVertex => s"${Role.Nbr}_$prop"
   }
 }
-
-/** Which entity a vertex-bound view predicate constrains. */
-sealed trait ViewTarget
-case object OnAdjEdge     extends ViewTarget
-case object OnNbrVertex   extends ViewTarget
-case object OnBoundVertex extends ViewTarget
-
-/** A scalar predicate of a vertex-bound global view, e.g.
-  * ``e_adj.amt > 10000`` or ``v_nbr.acc = 1``. */
-final case class ScalarViewPred(target: ViewTarget, prop: String, op: CmpOp, value: Double)
-
-/** A 2-path view predicate ``e_b.bProp OP e_adj.adjProp + delta``
-  * (must relate both edges — the paper's restriction in §2.2.2). */
-final case class PairViewPred(bProp: String, op: CmpOp, adjProp: String, delta: Double = 0.0)
 
 /** Declarative definition of one A+ index (the unit stored in the INDEX
   * STORE and referenced by CREATE/RECONFIGURE commands in the paper).
   *
-  * @param partKeys  nested secondary partitioning criteria, outermost first
-  * @param sortKeys  final (most granular) list sort criteria
-  * @param viewPreds vertex-bound view predicate (empty for default indexes)
-  * @param pairPreds edge-bound 2-path view predicate (required for EB kind)
+  * @param partKeys nested secondary partitioning criteria, outermost first
+  * @param sortKeys final (most granular) list sort criteria
+  * @param view     the view's predicate σ_pred (§2.2), a conjunction over the
+  *                 [[Role]] variables: e.g. ``EScalar(adj, amt > 10000)`` or
+  *                 ``VProp(nbr, acc, 1)`` for a vertex-bound view, the
+  *                 money-flow ``EdgePairPred(bnd, _, _, adj, _, _)``s for an
+  *                 edge-bound one; empty for default indexes
   */
 final case class IndexDefn(
     name: String,
@@ -74,20 +73,21 @@ final case class IndexDefn(
     dir: Direction,
     partKeys: Seq[Key] = Nil,
     sortKeys: Seq[Key] = Nil,
-    viewPreds: Seq[ScalarViewPred] = Nil,
-    pairPreds: Seq[PairViewPred] = Nil,
+    view: Seq[QPred] = Nil,
 ) {
   kind match {
     case DefaultKind =>
-      require(viewPreds.isEmpty && pairPreds.isEmpty,
-        s"$name: default indexes index all edges (no view predicates)")
+      require(view.isEmpty, s"$name: default indexes index all edges (no view predicates)")
     case VertexBoundKind =>
-      require(pairPreds.isEmpty, s"$name: pair predicates are for edge-bound indexes")
+      require(!view.exists(_.isInstanceOf[EdgePairPred]),
+        s"$name: pair predicates are for edge-bound indexes")
     case EdgeBoundKind(_) =>
-      require(pairPreds.nonEmpty,
+      require(view.nonEmpty && view.forall {
+          case EdgePairPred(Role.Bound, _, _, Role.Adj, _, _) => true
+          case _                                              => false
+        },
         s"$name: an edge-bound view must relate both edges of the 2-path " +
         "(otherwise a vertex-bound index gives the same access path, §2.2.2)")
-      require(viewPreds.isEmpty, s"$name: use pairPreds for edge-bound views")
   }
 
   def isDefault: Boolean = kind == DefaultKind

@@ -100,7 +100,7 @@ object MemoryModel {
       case DefaultKind => defaultIndexBytes(g, idx)
       case VertexBoundKind =>
         val sameDirDefault = defaults.find(_.defn.dir == idx.defn.dir)
-        val shares = idx.defn.viewPreds.isEmpty &&
+        val shares = idx.defn.view.isEmpty &&
           sameDirDefault.exists(_.defn.partKeys == idx.defn.partKeys)
         vertexBoundBytes(g, idx, shares)
       case EdgeBoundKind(_) => edgeBoundBytes(g, idx)

@@ -69,11 +69,7 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
       case EdgeBoundKind(_) => ix.stats.entries.toDouble / math.max(1L, cat.nE)
       case _                => cat.listLen(a.dir, a.qe.label, None)
     }
-    val viewNarrow = ix.defn.viewPreds.map {
-      case ScalarViewPred(OnAdjEdge, p, op, v) => cat.scalarSel(EdgeScalarPred(p, op, v))
-      case ScalarViewPred(_, p, _, _)          => cat.vPropSel(p)
-    }.product
-    base * (if (ix.defn.kind == VertexBoundKind) viewNarrow else 1.0)
+    base * (if (ix.defn.kind == VertexBoundKind) ix.defn.view.map(cat.sel).product else 1.0)
   }
 
   /** Accesses of equal i-cost are told apart by the number of query

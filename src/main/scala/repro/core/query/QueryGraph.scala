@@ -2,15 +2,14 @@ package repro.core.query
 
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions.lit
-import repro.core.Cmp
 
-/** Comparison operators shared by query predicates and index-view predicates. */
-sealed trait CmpOp { def sql: String }
-case object Lt extends CmpOp { val sql = "<"  }
-case object Le extends CmpOp { val sql = "<=" }
-case object Gt extends CmpOp { val sql = ">"  }
-case object Ge extends CmpOp { val sql = ">=" }
-case object EqOp extends CmpOp { val sql = "=" }
+/** Comparison operators of scalar and cross-edge predicates. */
+sealed trait CmpOp
+case object Lt extends CmpOp
+case object Le extends CmpOp
+case object Gt extends CmpOp
+case object Ge extends CmpOp
+case object EqOp extends CmpOp
 
 /** A query vertex with its local (single-variable) constraints. */
 final case class QVertex(
@@ -38,7 +37,9 @@ final case class QEdge(
 
 /** One conjunct of a query's WHERE clause: the unit the INDEX STORE, the
   * optimizer and the Executor reason about when deciding which predicates an
-  * access path satisfies (see [[repro.core.index.Coverage]]).
+  * access path satisfies (see [[repro.core.index.Coverage]]). An index view
+  * is a conjunction of `QPred`s over the index's role variables
+  * ([[repro.core.index.Role]]).
   *
   * @param vVars vertex variables the predicate relates
   * @param eVars edge variables the predicate relates
@@ -59,10 +60,31 @@ sealed abstract class QPred(val vVars: Seq[String], val eVars: Seq[String],
     case VIdLt(v, x)        => id(v) < x
     case ELabel(e, l)       => prop(e, "eLabel") === l
     case EIdEq(e, x)        => id(e) === x
-    case EScalar(e, sp)     => Cmp(prop(e, sp.prop), sp.op, lit(sp.value))
+    case EScalar(e, sp)     => cmp(prop(e, sp.prop), sp.op, lit(sp.value))
     case VertexEqPred(p, vs) =>
       vs.sliding(2).map { case Seq(a, b) => prop(a, p) === prop(b, p) }.reduce(_ && _)
-    case EdgePairPred(e1, p1, op, e2, p2, d) => Cmp(prop(e1, p1), op, prop(e2, p2) + lit(d))
+    case EdgePairPred(e1, p1, op, e2, p2, d) => cmp(prop(e1, p1), op, prop(e2, p2) + lit(d))
+  }
+
+  private def cmp(l: Column, op: CmpOp, r: Column): Column = op match {
+    case Lt   => l < r
+    case Le   => l <= r
+    case Gt   => l > r
+    case Ge   => l >= r
+    case EqOp => l === r
+  }
+
+  /** The same predicate over the variables `f` maps this one's to. */
+  def rename(f: String => String): QPred = this match {
+    case VLabel(v, l)        => VLabel(f(v), l)
+    case VProp(v, p, x)      => VProp(f(v), p, x)
+    case VIdEq(v, x)         => VIdEq(f(v), x)
+    case VIdLt(v, x)         => VIdLt(f(v), x)
+    case ELabel(e, l)        => ELabel(f(e), l)
+    case EIdEq(e, x)         => EIdEq(f(e), x)
+    case EScalar(e, sp)      => EScalar(f(e), sp)
+    case VertexEqPred(p, vs) => VertexEqPred(p, vs.map(f))
+    case p: EdgePairPred     => p.copy(e1 = f(p.e1), e2 = f(p.e2))
   }
 }
 

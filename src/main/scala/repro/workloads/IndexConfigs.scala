@@ -54,17 +54,11 @@ object IndexConfigs {
     IndexDefn("EB_c", EdgeBoundKind(DstFwd), Fwd,
       partKeys = Seq(Key(NbrVertex, "acc")),
       sortKeys = Seq(Key(NbrVertex, "city")),
-      pairPreds = Seq(
-        PairViewPred("date", repro.core.query.Lt, "date"),
-        PairViewPred("amt",  repro.core.query.Gt, "amt"),
-        PairViewPred("amt",  repro.core.query.Lt, "amt", alpha)))
+      view = MoneyFlow.flowPairs(Role.Bound, Role.Adj, alpha))
 
   /** EB for Table 6: the plain MoneyFlow view without grouping (the query
     * has no account/city predicates). */
   def EBplain(alpha: Double): IndexDefn =
     IndexDefn("EB_mf", EdgeBoundKind(DstFwd), Fwd,
-      pairPreds = Seq(
-        PairViewPred("date", repro.core.query.Lt, "date"),
-        PairViewPred("amt",  repro.core.query.Gt, "amt"),
-        PairViewPred("amt",  repro.core.query.Lt, "amt", alpha)))
+      view = MoneyFlow.flowPairs(Role.Bound, Role.Adj, alpha))
 }

@@ -69,6 +69,14 @@ class BaselinesSpec extends SparkSpec {
         QEdge("e1", "a", "b", scalarPreds = Seq(EdgeScalarPred("amt", Gt, 500.0))),
         QEdge("e2", "b", "c")))
     assert(FrontierEvaluator.count(F.financial, q) == NaiveEvaluator.count(F.financial, q))
+    // a vertex property, a vertex label, and an edge ID taken from a match
+    val q2 = QueryGraph("pred2",
+      Seq(QVertex("a", propEq = Map("acc" -> 1)), QVertex("b", label = Some(1)), QVertex("c")),
+      Seq(QEdge("e1", "a", "b"), QEdge("e2", "b", "c")))
+    val e1 = NaiveEvaluator.run(F.labelled, q2).select("e1").head().getLong(0)
+    val anchored = q2.copy(name = "pred2-anchored", edges = q2.edges.map(e => if (e.name == "e1") e.copy(idEq = Some(e1)) else e))
+    for (x <- Seq(q2, anchored))
+      assert(FrontierEvaluator.count(F.labelled, x) == NaiveEvaluator.count(F.labelled, x), x.name)
   }
 
   test("frontier star count matches with per-branch predicates") {

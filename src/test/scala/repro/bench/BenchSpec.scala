@@ -15,9 +15,9 @@ class BenchSpec extends SparkSpec {
 
   /** A contender that logs its build, every count and its release. It
     * returns `counts(query)`, or 7; with `slowFirst`, its first count call
-    * sleeps 0.3 s. */
+    * sleeps 0.3 s. Its model memory is `bytes`. */
   private def fake(name: String, log: ArrayBuffer[String], counts: Map[String, Long] = Map.empty,
-                   slowFirst: Boolean = false): Contender =
+                   slowFirst: Boolean = false, bytes: Long = 0L): Contender =
     Contender(name, Nil, () => {
       log += s"build $name"
       new Engine {
@@ -28,6 +28,7 @@ class BenchSpec extends SparkSpec {
           log += s"count $name ${q.name}"
           counts.getOrElse(q.name, 7L)
         }
+        override def memoryBytes: Long = bytes
         override def release(): Unit = log += s"release $name"
       }
     })
@@ -56,8 +57,10 @@ class BenchSpec extends SparkSpec {
 
   test("the |E_indexed| column appears exactly when a configuration has an edge-bound index") {
     val q = Seq(MoneyFlow.twoEdgePath(F.Alpha))
+    // cells padded to their column's width, here collapsed to one space
     def rendered(configs: (String, Seq[IndexDefn])*): Seq[String] = Bench.render(q, Bench.compare(q,
-      configs.map { case (n, d) => Contender.config(n, F.financial, d, F.financialCat) })).linesIterator.toSeq
+      configs.map { case (n, d) => Contender.config(n, F.financial, d, F.financialCat) }))
+      .linesIterator.map(_.replaceAll(" +", " ")).toSeq
     val withEB = rendered("D" -> IndexConfigs.D, "D+EB" -> (IndexConfigs.D :+ IndexConfigs.EBplain(F.Alpha)))
     val withVB = rendered("D" -> IndexConfigs.D, "D+VB_t" -> (IndexConfigs.D :+ IndexConfigs.VBt))
     assert(withEB.head.endsWith("| Mm(MB) | |E_indexed| |"), withEB.head)
@@ -75,5 +78,19 @@ class BenchSpec extends SparkSpec {
     assert(cells(1).matches("""\d+\.\d\d \(\d+\.\d\dx\)"""), cells(1))
     assert(cells(2).matches("""\d+\.\d\d \(0 rows\)"""), cells(2))
     assert(out.linesIterator.toSeq.last == s"counts: ${queries.map(_.name).zip(Seq(7, 0, 7)).map { case (q, n) => s"$q=$n" }.mkString(" ")}")
+  }
+
+  test("model memory from the second row on shows its ratio to the first row's") {
+    val log = ArrayBuffer.empty[String]
+    val runs = Bench.compare(queries, Seq(fake("A", log, bytes = 800000L), fake("B", log, bytes = 904000L)))
+    def mem(row: String) =
+      Bench.render(queries, runs).linesIterator.find(_.startsWith(s"| $row")).get.split('|').map(_.trim).last
+    assert(mem("A") == "0.8")
+    assert(mem("B") == "0.9 (1.13x)")
+  }
+
+  test("Table 2's header row starts its own line") {
+    val out = Table2Runner.run(F.spark, 0.001)
+    assert(out.linesIterator.exists(_.startsWith("| name ")), out)
   }
 }

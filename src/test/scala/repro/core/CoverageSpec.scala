@@ -25,29 +25,33 @@ class CoverageSpec extends SparkSpec {
   private val vLabel = VLabel("b", 1)
   private val city   = VProp("b", "city", 2)
 
-  private def vb(keys: Seq[Key], views: ScalarViewPred*): IndexDefn =
-    IndexDefn("VB", VertexBoundKind, Fwd, partKeys = keys, viewPreds = views)
+  private def vb(keys: Seq[Key], view: QPred*): IndexDefn =
+    IndexDefn("VB", VertexBoundKind, Fwd, partKeys = keys, view = view)
 
   private val eLabelKey = Seq(Key(AdjEdge, "eLabel"))
 
-  // (case, index, expected (keyed, byView); None = unusable)
+  // (case, index, expected (keyed, byView); None = unusable). "OnAdjEdge",
+  // "OnNbrVertex" and "OnBoundVertex" name a view predicate on the role
+  // Role.Adj, Role.Nbr and Role.Bound.
   private val cases: Seq[(String, IndexDefn, Option[(Set[QPred], Set[QPred])])] = Seq(
     ("an OnAdjEdge view predicate the query implies",
-      vb(Nil, ScalarViewPred(OnAdjEdge, "amt", Gt, 500.0)), Some((Set(), Set(amt)))),
+      vb(Nil, EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 500.0))), Some((Set(), Set(amt)))),
     ("an OnAdjEdge view predicate the query does not imply",
-      vb(Nil, ScalarViewPred(OnAdjEdge, "amt", Gt, 900.0)), None),
+      vb(Nil, EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 900.0))), None),
     ("an OnAdjEdge view predicate on the edge label",
-      vb(Nil, ScalarViewPred(OnAdjEdge, "eLabel", EqOp, 1.0)), Some((Set(), Set(eLabel)))),
+      vb(Nil, ELabel(Role.Adj, 1)), Some((Set(), Set(eLabel)))),
     ("an OnNbrVertex view predicate the query implies",
-      vb(Nil, ScalarViewPred(OnNbrVertex, "city", EqOp, 2.0)), Some((Set(), Set(city)))),
+      vb(Nil, VProp(Role.Nbr, "city", 2)), Some((Set(), Set(city)))),
+    ("a view on the neighbour's label",
+      vb(Nil, VLabel(Role.Nbr, 1)), Some((Set(), Set(vLabel)))),
     ("an OnBoundVertex view predicate is required but not counted",
-      vb(Nil, ScalarViewPred(OnBoundVertex, "acc", EqOp, 1.0)), Some((Set(), Set()))),
+      vb(Nil, VProp(Role.Bound, "acc", 1)), Some((Set(), Set()))),
     ("an OnBoundVertex view predicate the query does not imply",
-      vb(Nil, ScalarViewPred(OnBoundVertex, "acc", EqOp, 2.0)), None),
+      vb(Nil, VProp(Role.Bound, "acc", 2)), None),
     ("a key column on eLabel",
       vb(eLabelKey), Some((Set(eLabel), Set()))),
     ("an eLabel both keyed and in the view counts once",
-      vb(eLabelKey, ScalarViewPred(OnAdjEdge, "eLabel", EqOp, 1.0)), Some((Set(eLabel), Set()))),
+      vb(eLabelKey, ELabel(Role.Adj, 1)), Some((Set(eLabel), Set()))),
     ("key columns on vLabel and a scalar edge property",
       vb(Seq(Key(NbrVertex, "vLabel"), Key(AdjEdge, "amt"))), Some((Set(vLabel, amt), Set()))),
     ("a key column on a neighbour property (propEq)",

@@ -2,8 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestFixtures => F}
+import repro.core.index._
 import repro.core.query._
-import repro.workloads.{MagicRecs, MoneyFlow, SubgraphQueries}
+import repro.workloads.{IndexConfigs, MagicRecs, MoneyFlow, SubgraphQueries}
 
 /** The linchpin: every query × every index configuration must return exactly
   * the ground-truth result (the mechanical Spark SQL multi-join).
@@ -34,6 +35,18 @@ class EngineCorrectnessSpec extends SparkSpec {
 
   for (q <- sqs; (cn, cfg) <- table3Cfgs) {
     test(s"${q.name} matches ground truth under $cn") { check(cfg(), q) }
+  }
+
+  test("SQ1 under D plus a VB index on the neighbour's label reads that index and matches ground truth") {
+    val q = SubgraphQueries.byName(3, 2, "SQ1")
+    val label = q.vertex(q.edges.head.to).label.get
+    val vb = IndexDefn("VB_nl", VertexBoundKind, Fwd,
+      partKeys = Seq(Key(AdjEdge, "eLabel")), view = Seq(VLabel(Role.Nbr, label)))
+    val cfg = SystemConfig.build("D+VB_nl", F.labelled, IndexConfigs.D :+ vb, F.labelledCat, 4)
+    try {
+      assert(cfg.plan(q).describe.contains(":VB_nl@"), cfg.plan(q).describe)
+      check(cfg, q)
+    } finally cfg.unpersist()
   }
 
   // ---- MagicRecs under D and D+VBt

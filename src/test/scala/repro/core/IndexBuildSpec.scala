@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures => F}
 import repro.core.index._
-import repro.core.query.{Gt, Lt}
+import repro.core.query.{EdgePairPred, EdgeScalarPred, EScalar, Gt, Lt, VProp}
 
 class IndexBuildSpec extends SparkSpec {
 
@@ -44,7 +44,7 @@ class IndexBuildSpec extends SparkSpec {
 
   test("vertex-bound view with an adjacent-edge predicate stores exactly the matching edges") {
     val ix = APlusIndex.build(F.tiny, IndexDefn("hi", VertexBoundKind, Fwd,
-      viewPreds = Seq(ScalarViewPred(OnAdjEdge, "amt", Gt, 500.0))), 2)
+      view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 500.0)))), 2)
     assert(ix.stats.entries == F.tiny.edges.where(col("amt") > 500.0).count())
     assert(ix.stats.entries > 0 && ix.stats.entries < F.tiny.numEdges)
     ix.unpersist()
@@ -52,7 +52,7 @@ class IndexBuildSpec extends SparkSpec {
 
   test("vertex-bound view with a neighbour predicate filters on the neighbour") {
     val ix = APlusIndex.build(F.tiny, IndexDefn("nv", VertexBoundKind, Fwd,
-      viewPreds = Seq(ScalarViewPred(OnNbrVertex, "acc", repro.core.query.EqOp, 1.0))), 2)
+      view = Seq(VProp(Role.Nbr, "acc", 1))), 2)
     val expected = F.tiny.edges
       .join(F.tiny.vertices.select(col("vId").as("dst"), col("acc")), "dst")
       .where(col("acc") === 1).count()
@@ -62,7 +62,7 @@ class IndexBuildSpec extends SparkSpec {
 
   test("vertex-bound view with a bound-vertex predicate filters on the source") {
     val ix = APlusIndex.build(F.tiny, IndexDefn("bv", VertexBoundKind, Fwd,
-      viewPreds = Seq(ScalarViewPred(OnBoundVertex, "acc", repro.core.query.EqOp, 2.0))), 2)
+      view = Seq(VProp(Role.Bound, "acc", 2))), 2)
     val expected = F.tiny.edges
       .join(F.tiny.vertices.select(col("vId").as("src"), col("acc")), "src")
       .where(col("acc") === 2).count()
@@ -84,7 +84,7 @@ class IndexBuildSpec extends SparkSpec {
                             SrcFwd -> "SrcFwd", SrcBwd -> "SrcBwd")) {
     test(s"edge-bound $name view equals the filtered 2-path self-join") {
       val ix = APlusIndex.build(F.tiny, IndexDefn(name, EdgeBoundKind(shape), Fwd,
-        pairPreds = Seq(PairViewPred("date", Lt, "date"))), 2)
+        view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))), 2)
       assert(ix.stats.entries == ebExpected(shape.sharedIsDst, shape.adjOutgoing))
       assert(ix.hasCol("boundE") && ix.hasCol("sharedV"))
       ix.unpersist()
@@ -94,7 +94,8 @@ class IndexBuildSpec extends SparkSpec {
   test("edge-bound alpha band keeps only in-band pairs") {
     val a = 100.0
     val ix = APlusIndex.build(F.tiny, IndexDefn("band", EdgeBoundKind(DstFwd), Fwd,
-      pairPreds = Seq(PairViewPred("amt", Gt, "amt"), PairViewPred("amt", Lt, "amt", a))), 2)
+      view = Seq(EdgePairPred(Role.Bound, "amt", Gt, Role.Adj, "amt"),
+        EdgePairPred(Role.Bound, "amt", Lt, Role.Adj, "amt", a))), 2)
     val e = F.tiny.edges
     val b = e.select(col("eId").as("bid"), col("dst").as("sh"), col("amt").as("bamt"))
     val ad = e.select(col("eId").as("aid"), col("src").as("sh"), col("amt").as("aamt"))
@@ -107,7 +108,7 @@ class IndexBuildSpec extends SparkSpec {
   test("edge-bound indexes materialize declared neighbour sort keys") {
     val ix = APlusIndex.build(F.tiny, IndexDefn("ebs", EdgeBoundKind(DstFwd), Fwd,
       partKeys = Seq(Key(NbrVertex, "acc")), sortKeys = Seq(Key(NbrVertex, "city")),
-      pairPreds = Seq(PairViewPred("date", Lt, "date"))), 2)
+      view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))), 2)
     assert(ix.coversNbr("acc") && ix.coversNbr("city"))
     ix.unpersist()
   }
@@ -127,7 +128,7 @@ class IndexBuildSpec extends SparkSpec {
     }
     intercept[IllegalArgumentException] {
       IndexDefn("badD", DefaultKind, Fwd,
-        viewPreds = Seq(ScalarViewPred(OnAdjEdge, "amt", Gt, 1.0)))
+        view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 1.0))))
     }
   }
 }

@@ -33,7 +33,7 @@ class IndexStoreSpec extends SparkSpec {
     val pred = SystemConfig.build("pred", F.financial,
       repro.workloads.IndexConfigs.D :+
         IndexDefn("VB_hi", VertexBoundKind, Fwd,
-          viewPreds = Seq(ScalarViewPred(OnAdjEdge, "amt", Gt, 900.0))), cat, 2)
+          view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 900.0)))), cat, 2)
     val plain = QueryGraph("p", Seq(QVertex("a"), QVertex("b")), Seq(QEdge("e", "a", "b")))
     assert(!pred.store.vertexBoundCandidates(plain, plain.edge("e"), "a").exists(_.name == "VB_hi"))
     val implied = plain.copy(edges = Seq(

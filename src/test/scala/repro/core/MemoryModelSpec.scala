@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestFixtures => F}
 import repro.core.index._
-import repro.core.query.Lt
+import repro.core.query.{EdgePairPred, EdgeScalarPred, EScalar, Gt, Lt}
 
 class MemoryModelSpec extends SparkSpec {
 
@@ -43,7 +43,7 @@ class MemoryModelSpec extends SparkSpec {
       partKeys = Seq(Key(AdjEdge, "eLabel"))), 2)
     val vb = APlusIndex.build(F.tiny, IndexDefn("vbp", VertexBoundKind, Fwd,
       partKeys = Seq(Key(AdjEdge, "eLabel")),
-      viewPreds = Seq(ScalarViewPred(OnAdjEdge, "amt", repro.core.query.Gt, 500.0))), 2)
+      view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 500.0)))), 2)
     val shared = MemoryModel.vertexBoundBytes(F.tiny, vb, sharesLayers = true)
     val owned  = MemoryModel.indexBytes(F.tiny, vb, Seq(dflt))
     assert(owned > shared, "a predicate view cannot share the default layers")
@@ -52,7 +52,7 @@ class MemoryModelSpec extends SparkSpec {
 
   test("edge-bound bytes include page slots per bound edge") {
     val eb = APlusIndex.build(F.tiny, IndexDefn("eb", EdgeBoundKind(DstFwd), Fwd,
-      pairPreds = Seq(PairViewPred("date", Lt, "date"))), 2)
+      view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))), 2)
     val boundEdges = eb.df.select("boundE").distinct().count()
     val b = MemoryModel.edgeBoundBytes(F.tiny, eb)
     assert(b >= boundEdges * 12L, "page slots (8+4 B) per bound edge are accounted")
