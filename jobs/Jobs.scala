@@ -16,8 +16,9 @@ import repro.bench._
 object Jobs {
 
   /** 16 shuffle partitions (adaptive execution coalesces further) and no
-    * size-based broadcast: the Executor picks its own joins. Spark logs
-    * only warnings and errors, so the tables are not lost in its INFO lines. */
+    * size-based broadcast: the Executor's joins are planned as probes of
+    * lookup tables built once per index. Spark logs only warnings and
+    * errors, so the tables are not lost in its INFO lines. */
   def session(name: String): SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -26,6 +26,8 @@ object Schema {
   * against them whenever a predicate touches a property that the chosen A+
   * index does not materialize — the dataflow analogue of GraphflowDB reading
   * a property page per matched edge ("read the property and run a predicate").
+  * Their entries are held on the driver (``vertexStore`` / ``edgeStore``),
+  * and each read probes a hash table built from them once ([[LookupTables]]).
   */
 final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
 
@@ -36,11 +38,17 @@ final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
   lazy val edgeProps: DataFrame =
     edges.selectExpr((Schema.EdgeId +: Schema.EdgeProps): _*)
 
-  lazy val numVertices: Long = vertices.count()
-  lazy val numEdges: Long    = edges.count()
+  /** The property stores' entries, collected to the driver, and the lookup
+    * tables built over them. */
+  lazy val vertexStore: LookupTables = LookupTables.collect(vertexProps)
+  lazy val edgeStore: LookupTables   = LookupTables.collect(edgeProps)
+
+  lazy val numVertices: Long = vertexStore.size
+  lazy val numEdges: Long    = edgeStore.size
 
   /** Pin both tables in memory (every compared system gets the data resident,
-    * like the paper's in-memory setting) and force materialization. */
+    * like the paper's in-memory setting) and materialize them by collecting
+    * the property stores' entries. */
   def cache(): PropertyGraph = {
     vertices.persist(StorageLevel.MEMORY_ONLY)
     edges.persist(StorageLevel.MEMORY_ONLY)
@@ -48,9 +56,12 @@ final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
     this
   }
 
+  /** Unpersist both tables and destroy the property stores' lookup tables. */
   def uncache(): PropertyGraph = {
     vertices.unpersist(false)
     edges.unpersist(false)
+    vertexStore.destroy()
+    edgeStore.destroy()
     this
   }
 }

@@ -3,7 +3,7 @@ package repro.core.index
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
-import repro.core.{PropertyGraph, Schema}
+import repro.core.{LookupTables, PropertyGraph, Schema}
 
 /** Cardinality statistics of a built index, used by the optimizer's i-cost. */
 final case class IndexStats(entries: Long, nLists: Long) {
@@ -20,12 +20,13 @@ final case class IndexStats(entries: Long, nLists: Long) {
   *  - ``adj_<p>`` / ``nbr_<p>`` — one column per partitioning/sorting key.
   *
   * The DataFrame is ``repartition``-ed on the secondary partitioning keys and
-  * ``sortWithinPartitions``-ed on (partKeys ++ sortKeys), so literal filters
-  * on partition keys and range filters on sort keys prune cached in-memory
-  * batches — the analogue of constant-time granular-list access and of
-  * binary search inside sorted ID lists.
+  * ``sortWithinPartitions``-ed on (partKeys ++ sortKeys), the clustered
+  * layout the memory model measures. Its entries are also held on the
+  * driver (``tables``): an access's literal filters on partition and sort
+  * keys select its granular list there, and the Executor probes a hash table
+  * built from that list once ([[LookupTables]]).
   */
-final case class APlusIndex(defn: IndexDefn, df: DataFrame, stats: IndexStats) {
+final case class APlusIndex(defn: IndexDefn, df: DataFrame, tables: LookupTables, stats: IndexStats) {
   def name: String = defn.name
   def isEdgeBound: Boolean = defn.isEdgeBound
   def boundCol: String = if (isEdgeBound) "boundE" else "bound"
@@ -34,14 +35,14 @@ final case class APlusIndex(defn: IndexDefn, df: DataFrame, stats: IndexStats) {
   def coversAdj(prop: String): Boolean = hasCol(s"adj_$prop")
   /** Does this index materialize property `prop` of the neighbour vertex? */
   def coversNbr(prop: String): Boolean = hasCol(s"nbr_$prop")
-  def unpersist(): Unit = df.unpersist(false)
+  def unpersist(): Unit = { df.unpersist(false); tables.destroy() }
 }
 
 object APlusIndex {
 
-  /** Build (materialize + cache) the index described by `defn` over `g`:
-    * the adjacent edges with every property of each role the view or the
-    * keys read, filtered by the view, keeping the ID and key columns. */
+  /** Build (materialize, cache and collect) the index described by `defn`
+    * over `g`: the adjacent edges with every property of each role the view
+    * or the keys read, filtered by the view, keeping the ID and key columns. */
   def build(g: PropertyGraph, defn: IndexDefn, numPartitions: Int = 8): APlusIndex = {
     val (adjacent, bound, idCols) = defn.kind match {
       case EdgeBoundKind(shape) => (twoPaths(g, shape), "boundE", Seq("boundE", "sharedV", "eId", "nbr"))
@@ -74,9 +75,8 @@ object APlusIndex {
     val ordered = clustered
       .sortWithinPartitions((pk ++ sk ++ Seq(bound, "nbr")).distinct.map(col): _*)
       .persist(StorageLevel.MEMORY_ONLY)
-    val entries = ordered.count()
-    val nLists = ordered.select((bound +: pk).map(col): _*).distinct().count()
-    APlusIndex(defn, ordered, IndexStats(entries, nLists))
+    val tables = LookupTables.collect(ordered)
+    APlusIndex(defn, ordered, tables, IndexStats(tables.size, tables.distinct(bound +: pk)))
   }
 
   /** Columns `props` renamed ``<role>_<p>``. */

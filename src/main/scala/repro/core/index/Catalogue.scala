@@ -34,8 +34,6 @@ final case class Catalogue(
       case (None, None)       => avgDegAll(dir)
     }
 
-  def labelSel(l: Option[Int]): Double = l.map(vLabelFrac.getOrElse(_, 0.0)).getOrElse(1.0)
-
   /** Selectivity of one equality on a categorical vertex property. */
   def vPropSel(prop: String): Double =
     1.0 / math.max(1L, vPropCard.getOrElse(prop, 1L)).toDouble
@@ -56,7 +54,7 @@ final case class Catalogue(
     * one edge label, as `listLen` gives them: an edge-label predicate is
     * 1.0 there, a vertex label its share of the vertices. */
   def sel(p: QPred): Double = p match {
-    case VLabel(_, l)            => labelSel(Some(l))
+    case VLabel(_, l)            => vLabelFrac.getOrElse(l, 0.0)
     case VProp(_, prop, _)       => vPropSel(prop)
     case VIdEq(_, _)             => 1.0 / nV
     case VIdLt(_, k)             => math.min(1.0, k.toDouble / nV)

@@ -1,9 +1,9 @@
 package repro.core.plan
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import scala.collection.mutable
-import repro.core.{PropertyGraph, Schema}
+import repro.core.{LookupTables, PropertyGraph, Schema}
 import repro.core.index._
 import repro.core.query._
 
@@ -24,12 +24,16 @@ import repro.core.query._
   * properties through the property store when the access path did not
   * cover them. This is exactly where index configurations differ in cost.
   *
-  * Every index access and property-store read is a broadcast hash join: the
-  * already-filtered index (or property) DataFrame is the build side, keyed on
-  * the bound vertex or edge ID, and the partial match probes it — the
-  * analogue of an index nested-loop lookup "ID → list" (§4.2). The Executor
-  * states the physical operator itself, so no shuffle or sort is planned per
-  * join whatever the session's size-based broadcast threshold.
+  * Every index access and property-store read joins the partial match with
+  * the index's (or property store's) [[LookupTables]] frame, filtered and
+  * projected for the access, on the bound vertex or edge ID. That join is
+  * planned as a probe of a broadcast hash table built once per access shape
+  * and reused by every later query — the analogue of an index nested-loop
+  * lookup "ID → list" (§4.2) — so no join adds a Spark job, a shuffle or a
+  * sort to the query's action.
+  *
+  * The ``__b``, ``__n`` and ``__j`` join-key columns are unique within one
+  * Executor and stay in the partial match; the final `select` prunes them.
   */
 final class Executor(g: PropertyGraph, q: QueryGraph) {
 
@@ -75,9 +79,10 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     val qe  = a.qe
     val cov = a.coverage(q).getOrElse(
       sys.error(s"${q.name}: ${ix.name} cannot match ${qe.name}: the query does not imply its view"))
-    // Literal filters on materialized key columns (partition-key pruning /
-    // binary search into sorted lists); view predicates hold by construction.
-    val idf = cov.keyed.foldLeft(ix.df)((d, p) => d.where(Coverage.keyColumn(p)))
+    // Literal filters on materialized key columns (the granular lists the
+    // access reads); view predicates hold by construction.
+    val frame = ix.tables.frame
+    val idf = cov.keyed.map(Coverage.keyColumn).reduceOption(_ && _).fold(frame)(frame.where)
     pending --= cov.preds
 
     // Rename/select: bound key, the matched edge ID, the neighbour, and any
@@ -103,10 +108,8 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     accesses.zipWithIndex.foreach { case (a, i) =>
       val primary = i == 0
       val (idf, bKey, nColOpt) = prepIndex(a, newV, primary)
-      var cond = col(a.bound.name) === col(bKey)
-      nColOpt.foreach(nc => cond = cond && col(newV) === col(nc))
-      df = df.join(broadcast(idf), cond).drop(bKey)
-      nColOpt.foreach(nc => df = df.drop(nc))
+      val cond = col(a.bound.name) === col(bKey)
+      df = df.join(idf, nColOpt.fold(cond)(nc => cond && col(newV) === col(nc)))
       matched += a.qe.name
     }
     matched += newV
@@ -121,8 +124,7 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
       require(avail(s"${v}__$prop"),
         s"MULTI-EXTEND on $prop requires the index ${a.index.name} to materialize nbr_$prop")
       val cond = col(a.bound.name) === col(bKey)
-      df = df.join(broadcast(idf),
-        if (v == v0) cond else cond && VertexEqPred(prop, Seq(v, v0)).column(ref, col)).drop(bKey)
+      df = df.join(idf, if (v == v0) cond else cond && VertexEqPred(prop, Seq(v, v0)).column(ref, col))
       matched += v; matched += a.qe.name
     }
 
@@ -130,7 +132,7 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     // VertexEqPred's linkage so settle() doesn't re-filter.
     val unitVars = units.map(_._1).toSet
     q.vertexEqs.filter(p => p.prop == prop && unitVars.subsetOf(p.vars.toSet)).foreach { p =>
-      link(p, v0)
+      link(p, v0).foreach(c => df = df.where(c))
       eqLinked(p) ++= unitVars
     }
     settle()
@@ -139,51 +141,57 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
   // ------------------------------------------------------ property store
 
   private def ensureVertexProps(v: String): Unit =
-    ensureProps(v, g.vertexProps, Schema.VertexId, Schema.VertexProps)
+    ensureProps(v, g.vertexStore, Schema.VertexId, Schema.VertexProps)
 
   private def ensureEdgeProps(e: String): Unit =
-    ensureProps(e, g.edgeProps, Schema.EdgeId, Schema.EdgeProps)
+    ensureProps(e, g.edgeStore, Schema.EdgeId, Schema.EdgeProps)
 
   /** Join the property store `props` keyed by `id` for the properties of
     * variable `v` not yet in hand. */
-  private def ensureProps(v: String, props: DataFrame, id: String, names: Seq[String]): Unit = {
+  private def ensureProps(v: String, props: LookupTables, id: String, names: Seq[String]): Unit = {
     val missing = names.filterNot(p => avail(s"${v}__$p"))
     if (missing.isEmpty) return
     tag += 1
     val key = s"__j$tag"
-    val sel = props.select((col(id).as(key) +: missing.map(p => col(p).as(s"${v}__$p"))): _*)
-    df = df.join(broadcast(sel), col(v) === col(key)).drop(key)
+    val sel = props.frame.select((col(id).as(key) +: missing.map(p => col(p).as(s"${v}__$p"))): _*)
+    df = df.join(sel, col(v) === col(key))
     missing.foreach(p => avail += s"${v}__$p")
   }
 
   // ---------------------------------------------------------- settle
 
   /** Evaluate every pending predicate whose variables are matched, fetching
-    * uncovered properties through the property store. A vertex equality is
-    * applied link by link, as soon as two of its vertices are matched. */
-  private def settle(): Unit = pending.toSeq.foreach {
-    case p: VertexEqPred =>
-      p.vars.filter(v => matched(v) && !eqLinked.get(p).exists(_(v))).foreach { v =>
-        ensureVertexProps(v)
-        link(p, v)
-      }
-      if (eqLinked.get(p).exists(_.size == p.vars.size)) pending -= p
-    case p if (p.vVars ++ p.eVars).forall(matched) =>
-      if (p.readsProps) { p.vVars.foreach(ensureVertexProps); p.eVars.foreach(ensureEdgeProps) }
-      df = df.where(p.column(ref, col))
-      pending -= p
-    case _ => ()
+    * uncovered properties through the property store, in one filter. A
+    * vertex equality is applied link by link, as soon as two of its vertices
+    * are matched. */
+  private def settle(): Unit = {
+    val ready = pending.toSeq.flatMap {
+      case p: VertexEqPred =>
+        val links = p.vars.filter(v => matched(v) && !eqLinked.get(p).exists(_(v))).flatMap { v =>
+          ensureVertexProps(v)
+          link(p, v)
+        }
+        if (eqLinked.get(p).exists(_.size == p.vars.size)) pending -= p
+        links
+      case p if (p.vVars ++ p.eVars).forall(matched) =>
+        if (p.readsProps) { p.vVars.foreach(ensureVertexProps); p.eVars.foreach(ensureEdgeProps) }
+        pending -= p
+        Seq(p.column(ref, col))
+      case _ => Nil
+    }
+    ready.reduceOption(_ && _).foreach(c => df = df.where(c))
   }
 
-  /** Add `v` to the linked vertices of `p`, equating its property with an
-    * already-linked one. */
-  private def link(p: VertexEqPred, v: String): Unit = {
+  /** Add `v` to the linked vertices of `p`; the filter equating its property
+    * with an already-linked one, if any. */
+  private def link(p: VertexEqPred, v: String): Option[Column] = {
     val linked = eqLinked.getOrElseUpdate(p, mutable.Set())
-    linked.headOption.foreach { rep =>
+    val eq = linked.headOption.map { rep =>
       ensureVertexProps(rep)
-      df = df.where(VertexEqPred(p.prop, Seq(v, rep)).column(ref, col))
+      VertexEqPred(p.prop, Seq(v, rep)).column(ref, col)
     }
     linked += v
+    eq
   }
 
   private def ref(v: String, prop: String): Column = col(s"${v}__$prop")

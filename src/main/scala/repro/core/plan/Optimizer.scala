@@ -45,12 +45,18 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
 
   // ------------------------------------------------------------- costs
 
+  // Selectivities come from `Catalogue.sel`, one factor per predicate. The
+  // grouping of the factors below decides the estimates' last bits, which
+  // plans.golden pins.
   private def idSel(v: QVertex): Double =
-    v.idEq.map(_ => 1.0 / cat.nV).orElse(v.idLt.map(k => math.min(1.0, k.toDouble / cat.nV)))
+    v.idEq.map(x => cat.sel(VIdEq(v.name, x))).orElse(v.idLt.map(k => cat.sel(VIdLt(v.name, k))))
       .getOrElse(1.0)
 
+  private def propSel(v: QVertex): Double =
+    v.propEq.map { case (p, x) => cat.sel(VProp(v.name, p, x)) }.product
+
   private def scanCard(v: QVertex): Double =
-    cat.nV * cat.labelSel(v.label) * v.propEq.keys.map(cat.vPropSel).product * idSel(v)
+    cat.nV * v.label.fold(1.0)(l => cat.sel(VLabel(v.name, l))) * propSel(v) * idSel(v)
 
   /** Estimated length of the list this access reads.
     *
@@ -85,10 +91,10 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
     val base =
       if (primary) cat.listLen(dir, qe.label, newV.label)
       else cat.listLen(dir, qe.label, None) / math.max(1L, cat.nV)
-    val scalars = qe.scalarPreds.map(cat.scalarSel).product
+    val scalars = qe.scalarPreds.map(sp => cat.sel(EScalar(qe.name, sp))).product
     val pairs = q.edgePairs
       .filter(p => (p.e1 == qe.name && matchedE(p.e2)) || (p.e2 == qe.name && matchedE(p.e1)))
-      .map(cat.pairSel).product
+      .map(cat.sel).product
     base * scalars * pairs
   }
 
@@ -140,22 +146,20 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
       else {
         val accesses = picks.flatten.sortBy(score(q, _))
         val iCost = sv.cost + sv.card * accesses.map(score(q, _)).sum
-        var mult = idSel(newV) *
-          newV.propEq.keys.map(cat.vPropSel).product *
-          eqLinkSel(q, s, Seq(nv), None)
+        var mult = idSel(newV) * propSel(newV) * eqLinkSel(q, s, Seq(nv), None)
         accesses.zipWithIndex.foreach { case (a, i) =>
           mult *= edgeMult(q, a.qe, newV, a.dir, primary = i == 0, me)
         }
         // the primary listLen already includes newV's label share when the
         // catalogue can condition on it; otherwise apply the label fraction
-        if (newV.label.nonEmpty) {
+        newV.label.foreach { l =>
           // listLen(dir, l, Some(nl)) already embeds the label fraction; the
           // unconditioned estimate needs it explicitly
           val a0 = accesses.head
           val conditioned = cat.listLen(a0.dir, a0.qe.label, newV.label)
           val unconditioned = cat.listLen(a0.dir, a0.qe.label, None)
           if (conditioned == 0.0 && unconditioned > 0.0)
-            mult *= cat.labelSel(newV.label)
+            mult *= cat.sel(VLabel(nv, l))
         }
         Some((s + nv, StateVal(iCost, math.max(sv.card * mult, 1e-6), sv.ops :+ ExtendOp(nv, accesses))))
       }
@@ -193,7 +197,7 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
           us.foreach { case (v, a) =>
             val newV = q.vertex(v)
             mult *= edgeMult(q, a.qe, newV, a.dir, primary = true, me) *
-              idSel(newV) * newV.propEq.keys.map(cat.vPropSel).product
+              idSel(newV) * propSel(newV)
           }
           Some((s ++ sub,
             StateVal(iCost, math.max(sv.card * mult, 1e-6), sv.ops :+ MultiExtendOp(p.prop, us))))

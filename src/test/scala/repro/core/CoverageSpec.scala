@@ -30,23 +30,21 @@ class CoverageSpec extends SparkSpec {
 
   private val eLabelKey = Seq(Key(AdjEdge, "eLabel"))
 
-  // (case, index, expected (keyed, byView); None = unusable). "OnAdjEdge",
-  // "OnNbrVertex" and "OnBoundVertex" name a view predicate on the role
-  // Role.Adj, Role.Nbr and Role.Bound.
+  // (case, index, expected (keyed, byView); None = unusable)
   private val cases: Seq[(String, IndexDefn, Option[(Set[QPred], Set[QPred])])] = Seq(
-    ("an OnAdjEdge view predicate the query implies",
+    ("an adj view predicate the query implies",
       vb(Nil, EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 500.0))), Some((Set(), Set(amt)))),
-    ("an OnAdjEdge view predicate the query does not imply",
+    ("an adj view predicate the query does not imply",
       vb(Nil, EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 900.0))), None),
-    ("an OnAdjEdge view predicate on the edge label",
+    ("an adj view predicate on the edge label",
       vb(Nil, ELabel(Role.Adj, 1)), Some((Set(), Set(eLabel)))),
-    ("an OnNbrVertex view predicate the query implies",
+    ("a nbr view predicate the query implies",
       vb(Nil, VProp(Role.Nbr, "city", 2)), Some((Set(), Set(city)))),
     ("a view on the neighbour's label",
       vb(Nil, VLabel(Role.Nbr, 1)), Some((Set(), Set(vLabel)))),
-    ("an OnBoundVertex view predicate is required but not counted",
+    ("a bnd view predicate is required but not counted",
       vb(Nil, VProp(Role.Bound, "acc", 1)), Some((Set(), Set()))),
-    ("an OnBoundVertex view predicate the query does not imply",
+    ("a bnd view predicate the query does not imply",
       vb(Nil, VProp(Role.Bound, "acc", 2)), None),
     ("a key column on eLabel",
       vb(eLabelKey), Some((Set(eLabel), Set()))),
@@ -125,7 +123,9 @@ class CoverageSpec extends SparkSpec {
   // ---- physical join shape
 
   /** Every logical join of the executed query is a hash probe into a
-    * broadcast build side on the right (the index or property table). */
+    * broadcast build side on the right: the lookup table of the index or
+    * property store, which the Executor's joins are planned onto without a
+    * hint. */
   private def assertBroadcastProbes(cfg: SystemConfig, q: QueryGraph): Unit = {
     val qe = cfg.run(q).queryExecution
     val what = s"${q.name} under ${cfg.name}:\n${qe.sparkPlan}"
