@@ -14,7 +14,7 @@ import org.apache.spark.sql.catalyst.plans.physical.{BroadcastMode, BroadcastPar
 import org.apache.spark.sql.execution.{LeafExecNode, SparkPlan, SparkStrategy}
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, HashJoin, HashedRelationBroadcastMode}
 
-/** The entries of a cached A+ index or property store, held on the driver,
+/** The entries of an A+ index or a cached property store, held on the driver,
   * and the broadcast hash tables the Executor's joins probe: an index is
   * built once, and an access reaches its list in constant time (§3, §4.2).
   *
@@ -30,10 +30,11 @@ final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
 
   def size: Long = entries.length
 
-  /** Number of distinct value tuples of the columns `cols` in the entries. */
-  def distinct(cols: Seq[String]): Long = {
+  /** Number of entries per value tuple of the columns `cols`; its size is
+    * the number of distinct tuples. */
+  def groups(cols: Seq[String]): Map[Seq[Any], Long] = {
     val at = cols.map(c => attrs.indexWhere(_.name == c))
-    entries.iterator.map(r => at.map(i => r.get(i, attrs(i).dataType))).toSet.size.toLong
+    entries.groupMapReduce(r => at.map(i => r.get(i, attrs(i).dataType)))(_ => 1L)(_ + _)
   }
 
   /** The entries as a DataFrame with the source's columns. Joined on the
@@ -66,8 +67,8 @@ final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
 
 object LookupTables {
 
-  /** Collects the entries of `df`; on a persisted DataFrame this is the
-    * action that fills its cache. */
+  /** Collects the entries of `df` to the driver: for an A+ index, the only
+    * copy of its entries. */
   def collect(df: DataFrame): LookupTables = {
     val qe = df.queryExecution
     new LookupTables(df.sparkSession, qe.analyzed.output, qe.executedPlan.executeCollect())

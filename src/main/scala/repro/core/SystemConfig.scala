@@ -37,8 +37,9 @@ final case class SystemConfig(
 
 object SystemConfig {
 
-  /** Materialize every index of `defns` over `g` (cached + counted) and wire
-    * the stores. The catalogue is built once per graph and can be shared. */
+  /** Build every index of `defns` over `g` (entries collected to the
+    * driver) and wire the stores. The catalogue is built once per graph and
+    * can be shared. */
   def build(name: String, g: PropertyGraph, defns: Seq[IndexDefn],
             cat: Catalogue, numPartitions: Int = 8): SystemConfig = {
     val built = defns.map(d => APlusIndex.build(g, d, numPartitions))

@@ -2,7 +2,6 @@ package repro.core.index
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import repro.core.{LookupTables, PropertyGraph, Schema}
 
 /** Cardinality statistics of a built index, used by the optimizer's i-cost. */
@@ -11,7 +10,8 @@ final case class IndexStats(entries: Long, nLists: Long) {
   def avgListLen: Double = if (nLists == 0) 0.0 else entries.toDouble / nLists
 }
 
-/** A built A+ index: a materialized, clustered, cached DataFrame.
+/** A built A+ index: its entries, collected once to the driver from a
+  * clustered DataFrame plan.
   *
   * Column contract (the dataflow analogue of the paper's physical layout):
   *  - ``bound``  — bound vertex ID (default / vertex-bound indexes)
@@ -19,12 +19,13 @@ final case class IndexStats(entries: Long, nLists: Long) {
   *  - ``eId``    — adjacent edge ID, ``nbr`` — neighbour vertex ID
   *  - ``adj_<p>`` / ``nbr_<p>`` — one column per partitioning/sorting key.
   *
-  * The DataFrame is ``repartition``-ed on the secondary partitioning keys and
-  * ``sortWithinPartitions``-ed on (partKeys ++ sortKeys), the clustered
-  * layout the memory model measures. Its entries are also held on the
-  * driver (``tables``): an access's literal filters on partition and sort
-  * keys select its granular list there, and the Executor probes a hash table
-  * built from that list once ([[LookupTables]]).
+  * ``df`` is the plan the entries were collected from, ``repartition``-ed on
+  * the secondary partitioning keys and ``sortWithinPartitions``-ed on
+  * (partKeys ++ sortKeys); it is not cached. The entries are held once, on
+  * the driver (``tables``): an access's literal filters on partition and
+  * sort keys select its granular list there, the Executor probes a hash
+  * table built from that list once ([[LookupTables]]), and the memory model
+  * counts its bytes over them.
   */
 final case class APlusIndex(defn: IndexDefn, df: DataFrame, tables: LookupTables, stats: IndexStats) {
   def name: String = defn.name
@@ -35,12 +36,12 @@ final case class APlusIndex(defn: IndexDefn, df: DataFrame, tables: LookupTables
   def coversAdj(prop: String): Boolean = hasCol(s"adj_$prop")
   /** Does this index materialize property `prop` of the neighbour vertex? */
   def coversNbr(prop: String): Boolean = hasCol(s"nbr_$prop")
-  def unpersist(): Unit = { df.unpersist(false); tables.destroy() }
+  def unpersist(): Unit = tables.destroy()
 }
 
 object APlusIndex {
 
-  /** Build (materialize, cache and collect) the index described by `defn`
+  /** Build (lay out and collect) the index described by `defn`
     * over `g`: the adjacent edges with every property of each role the view
     * or the keys read, filtered by the view, keeping the ID and key columns. */
   def build(g: PropertyGraph, defn: IndexDefn, numPartitions: Int = 8): APlusIndex = {
@@ -59,24 +60,22 @@ object APlusIndex {
     val ids = Map(Role.Bound -> bound, Role.Adj -> "eId", Role.Nbr -> "nbr")
     df = defn.view.foldLeft(df)((d, p) =>
       d.where(p.column((role, prop) => col(s"${role}_$prop"), role => col(ids(role)))))
-    layoutAndCache(df.select((idCols ++ keyCols(defn)).map(col): _*), defn, bound, numPartitions)
+    layoutAndCollect(df.select((idCols ++ keyCols(defn)).map(col): _*), defn, bound, numPartitions)
   }
 
   private def keyCols(defn: IndexDefn): Seq[String] =
     (defn.partKeys ++ defn.sortKeys).map(_.colName).distinct
 
-  private def layoutAndCache(raw: DataFrame, defn: IndexDefn, bound: String,
+  private def layoutAndCollect(raw: DataFrame, defn: IndexDefn, bound: String,
                              numPartitions: Int): APlusIndex = {
     val pk = defn.partKeys.map(_.colName)
     val sk = defn.sortKeys.map(_.colName)
     val clustered =
       if (pk.nonEmpty) raw.repartition(numPartitions, pk.map(col): _*)
       else raw.repartition(numPartitions, col(bound))
-    val ordered = clustered
-      .sortWithinPartitions((pk ++ sk ++ Seq(bound, "nbr")).distinct.map(col): _*)
-      .persist(StorageLevel.MEMORY_ONLY)
+    val ordered = clustered.sortWithinPartitions((pk ++ sk ++ Seq(bound, "nbr")).distinct.map(col): _*)
     val tables = LookupTables.collect(ordered)
-    APlusIndex(defn, ordered, tables, IndexStats(tables.size, tables.distinct(bound +: pk)))
+    APlusIndex(defn, ordered, tables, IndexStats(tables.size, tables.groups(bound +: pk).size))
   }
 
   /** Columns `props` renamed ``<role>_<p>``. */

@@ -1,21 +1,24 @@
 package repro.core.index
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
 import repro.core.PropertyGraph
+import repro.storage.OffsetListCodec
 
 /** Analytic byte accounting of the paper's physical layout (§3, §4.3).
   *
   * The paper measures memory of a pointer-level in-memory engine; caching
   * DataFrames would only measure Spark's columnar overheads. Instead we
-  * account bytes exactly as the paper's storage does:
+  * account bytes exactly as the paper's storage does, counting on the driver
+  * over each index's entries (`APlusIndex.tables`), without a Spark job:
   *
   *  - **ID lists** (default indexes): 8 B edge ID + 4 B neighbour ID per
   *    indexed edge, plus a 4 B CSR slot per vertex, plus 4 B per secondary-
   *    partitioning slot per level.
   *  - **Offset lists** (secondary indexes): a 1-byte width header per list
-  *    plus ⌈log₂₅₆(defaultListLen)⌉ bytes per entry — offsets are list-level
-  *    identifiable positions into the bound vertex's default ID list.
+  *    plus, per entry, the bytes of the largest offset into the bound
+  *    vertex's default ID list (`OffsetListCodec.widthFor`). Offsets are
+  *    list-level identifiable positions into that list, whose length is
+  *    counted over the entries of the default index in the offsets'
+  *    direction.
   *  - **Edge-bound pages** (§4.3): all bound edges whose offset lists point
   *    into vertex v's ID list share v's page; each bound edge costs an 8 B
   *    edge-ID slot in the page's first partitioning layer plus a 4 B CSR
@@ -25,13 +28,6 @@ import repro.core.PropertyGraph
   *    1 B acc; per edge 8 B amt + 4 B date + 4 B time + 1 B currency.
   */
 object MemoryModel {
-
-  /** Bytes needed to address one offset into a list of length `len`. */
-  def offsetWidth(len: Long): Int =
-    if (len <= 256L) 1 else if (len <= 65536L) 2 else if (len <= (1L << 24)) 3 else 4
-
-  private def offsetWidthCol(len: Column): Column =
-    when(len <= 256L, 1).when(len <= 65536L, 2).when(len <= (1L << 24), 3).otherwise(4)
 
   private val VertexPropBytes = 4L  // vLabel 1 + city 2 + acc 1
   private val EdgePropBytes   = 17L // amt 8 + date 4 + time 4 + currency 1
@@ -43,68 +39,67 @@ object MemoryModel {
     g.numVertices * VertexPropBytes + g.numEdges * EdgePropBytes
 
   /** 4 B per distinct (bound, partKeys prefix) slot, per nesting level. */
-  private def layerBytes(df: DataFrame, bound: String, pk: Seq[String]): Long =
-    pk.indices.map { i =>
-      SlotBytes * df.select((bound +: pk.take(i + 1)).map(col): _*).distinct().count()
-    }.sum
-
-  /** Per-vertex degree in the direction offset lists point into. */
-  private def defaultListLens(g: PropertyGraph, dir: Direction): DataFrame =
-    g.edges.groupBy(col(dir.boundCol).as("__dlv")).agg(count(lit(1)).as("__dlen"))
+  private def layerBytes(idx: APlusIndex, bound: String, pk: Seq[String]): Long =
+    pk.indices.map(i => SlotBytes * idx.tables.groups(bound +: pk.take(i + 1)).size).sum
 
   def defaultIndexBytes(g: PropertyGraph, idx: APlusIndex): Long = {
     val pk = idx.defn.partKeys.map(_.colName)
     IdEntryBytes * idx.stats.entries +
       SlotBytes * g.numVertices +
-      layerBytes(idx.df, "bound", pk)
+      layerBytes(idx, "bound", pk)
   }
 
-  /** Offset-list bytes: Σ over most-granular lists of (1 + width(dlen)·len). */
-  private def offsetListBytes(lists: DataFrame): Long = {
-    if (lists.isEmpty) return 0L
-    lists
-      .select((lit(1L) + offsetWidthCol(col("__dlen")).cast("long") * col("__len")).as("__b"))
-      .agg(sum("__b")).head().getLong(0)
+  /** Offset-list bytes: Σ over the most granular lists of `idx`, one per
+    * value tuple of `listCols`, of (1 + width·len). The offsets of a list
+    * address the list of its vertex in column `vertex` in the default
+    * index `dflt`. */
+  private def offsetListBytes(idx: APlusIndex, listCols: Seq[String], vertex: String,
+                              dflt: APlusIndex): Long = {
+    val dlen = dflt.tables.groups(Seq("bound"))
+    val v = listCols.indexOf(vertex)
+    idx.tables.groups(listCols).iterator.map { case (list, len) =>
+      1L + OffsetListCodec.widthFor((dlen(Seq(list(v))) - 1).toInt) * len
+    }.sum
   }
 
-  /** @param sharesLayers true when the VB view has no predicate and the same
+  /** @param dflt the default index in `idx`'s direction, which its offsets
+    *  point into.
+    * @param sharesLayers true when the VB view has no predicate and the same
     *  secondary partitioning as the default index, in which case only the
     *  offset lists are stored (§3 case 1). */
-  def vertexBoundBytes(g: PropertyGraph, idx: APlusIndex, sharesLayers: Boolean): Long = {
+  def vertexBoundBytes(g: PropertyGraph, idx: APlusIndex, dflt: APlusIndex, sharesLayers: Boolean): Long = {
     val pk = idx.defn.partKeys.map(_.colName)
-    val lists = idx.df
-      .groupBy(("bound" +: pk).map(col): _*).agg(count(lit(1)).as("__len"))
-      .join(defaultListLens(g, idx.defn.dir), col("bound") === col("__dlv"))
-    val off = offsetListBytes(lists)
+    val off = offsetListBytes(idx, "bound" +: pk, "bound", dflt)
     if (sharesLayers) off
-    else off + SlotBytes * g.numVertices + layerBytes(idx.df, "bound", pk)
+    else off + SlotBytes * g.numVertices + layerBytes(idx, "bound", pk)
   }
 
-  def edgeBoundBytes(g: PropertyGraph, idx: APlusIndex): Long = {
-    val shape = idx.defn.kind.asInstanceOf[EdgeBoundKind].shape
-    val adjDir = if (shape.adjOutgoing) Fwd else Bwd
+  /** @param dflt the default index in the adjacent edges' direction, which
+    *  the offsets point into. */
+  def edgeBoundBytes(idx: APlusIndex, dflt: APlusIndex): Long = {
     val pk = idx.defn.partKeys.map(_.colName)
-    val lists = idx.df
-      .groupBy(("boundE" +: "sharedV" +: pk).map(col): _*).agg(count(lit(1)).as("__len"))
-      .join(defaultListLens(g, adjDir), col("sharedV") === col("__dlv"))
-    val boundEdges = idx.df.select("boundE").distinct().count()
-    offsetListBytes(lists) +
-      boundEdges * (8L + SlotBytes) +           // page edge-ID slot + CSR slot
-      layerBytes(idx.df, "boundE", pk)
+    offsetListBytes(idx, "boundE" +: "sharedV" +: pk, "sharedV", dflt) +
+      idx.tables.groups(Seq("boundE")).size * (8L + SlotBytes) + // page edge-ID slot + CSR slot
+      layerBytes(idx, "boundE", pk)
   }
 
-  /** Bytes of one index given the configuration's default indexes (needed to
-    * decide offset-list layer sharing). */
-  def indexBytes(g: PropertyGraph, idx: APlusIndex, defaults: Seq[APlusIndex]): Long =
+  /** Bytes of one index given the configuration's default indexes: a
+    * secondary index's offsets point into the default index of their
+    * direction, which decides their width and whether layers are shared. */
+  def indexBytes(g: PropertyGraph, idx: APlusIndex, defaults: Seq[APlusIndex]): Long = {
+    def into(dir: Direction): APlusIndex = {
+      val d = defaults.find(_.defn.dir == dir)
+      require(d.isDefined, s"${idx.name}: no $dir default index for its offsets to point into")
+      d.get
+    }
     idx.defn.kind match {
       case DefaultKind => defaultIndexBytes(g, idx)
       case VertexBoundKind =>
-        val sameDirDefault = defaults.find(_.defn.dir == idx.defn.dir)
-        val shares = idx.defn.view.isEmpty &&
-          sameDirDefault.exists(_.defn.partKeys == idx.defn.partKeys)
-        vertexBoundBytes(g, idx, shares)
-      case EdgeBoundKind(_) => edgeBoundBytes(g, idx)
+        val dflt = into(idx.defn.dir)
+        vertexBoundBytes(g, idx, dflt, idx.defn.view.isEmpty && dflt.defn.partKeys == idx.defn.partKeys)
+      case EdgeBoundKind(shape) => edgeBoundBytes(idx, into(if (shape.adjOutgoing) Fwd else Bwd))
     }
+  }
 
   /** Whole-configuration bytes: property stores + every index. */
   def configBytes(g: PropertyGraph, indexes: Seq[APlusIndex]): Long = {

@@ -3,12 +3,12 @@ package repro.core
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{classic, DataFrame}
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, AdaptiveSparkPlanHelper}
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 import repro.{SparkSpec, TestFixtures => F}
-import repro.core.index.Catalogue
+import repro.core.index.{Catalogue, MemoryModel}
 import repro.core.plan.MultiExtendOp
 import repro.core.query.QueryGraph
 import repro.workloads.{IndexConfigs, MagicRecs, MoneyFlow, SubgraphQueries}
@@ -52,6 +52,17 @@ class LookupTablesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       assert(seen.asScala.exists(_.contains(marker)), "the marker job's start never arrived")
       (result, seen.asScala.count(!_.contains(marker)))
     } finally sc.removeSparkListener(listener)
+  }
+
+  test("an index is held once, on the driver: Spark caches none, and the memory model runs no job") {
+    val cfg = SystemConfig.build("D+VBc+EBc", F.financial,
+      IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(F.Alpha), F.financialCat, 4)
+    try {
+      val cache = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
+      for (ix <- cfg.store.indexes)
+        assert(cache.lookupCachedData(ix.df.asInstanceOf[classic.Dataset[_]]).isEmpty, s"${ix.name} is in Spark's cache")
+      assert(jobs(MemoryModel.configBytes(cfg.g, cfg.store.indexes))._2 == 0)
+    } finally cfg.unpersist()
   }
 
   /** Tables built over the configuration's indexes and graph. */
