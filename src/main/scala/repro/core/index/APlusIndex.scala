@@ -67,7 +67,7 @@ object APlusIndex {
     (defn.partKeys ++ defn.sortKeys).map(_.colName).distinct
 
   private def layoutAndCollect(raw: DataFrame, defn: IndexDefn, bound: String,
-                             numPartitions: Int): APlusIndex = {
+                               numPartitions: Int): APlusIndex = {
     val pk = defn.partKeys.map(_.colName)
     val sk = defn.sortKeys.map(_.colName)
     val clustered =

@@ -51,14 +51,12 @@ object MemoryModel {
 
   /** Offset-list bytes: Σ over the most granular lists of `idx`, one per
     * value tuple of `listCols`, of (1 + width·len). The offsets of a list
-    * address the list of its vertex in column `vertex` in the default
-    * index `dflt`. */
-  private def offsetListBytes(idx: APlusIndex, listCols: Seq[String], vertex: String,
-                              dflt: APlusIndex): Long = {
+    * address the list, in the default index `dflt`, of the vertex in its
+    * first column. */
+  private def offsetListBytes(idx: APlusIndex, listCols: Seq[String], dflt: APlusIndex): Long = {
     val dlen = dflt.tables.groups(Seq("bound"))
-    val v = listCols.indexOf(vertex)
     idx.tables.groups(listCols).iterator.map { case (list, len) =>
-      1L + OffsetListCodec.widthFor((dlen(Seq(list(v))) - 1).toInt) * len
+      1L + OffsetListCodec.widthFor((dlen(list.take(1)) - 1).toInt) * len
     }.sum
   }
 
@@ -69,7 +67,7 @@ object MemoryModel {
     *  offset lists are stored (§3 case 1). */
   def vertexBoundBytes(g: PropertyGraph, idx: APlusIndex, dflt: APlusIndex, sharesLayers: Boolean): Long = {
     val pk = idx.defn.partKeys.map(_.colName)
-    val off = offsetListBytes(idx, "bound" +: pk, "bound", dflt)
+    val off = offsetListBytes(idx, "bound" +: pk, dflt)
     if (sharesLayers) off
     else off + SlotBytes * g.numVertices + layerBytes(idx, "bound", pk)
   }
@@ -78,7 +76,7 @@ object MemoryModel {
     *  the offsets point into. */
   def edgeBoundBytes(idx: APlusIndex, dflt: APlusIndex): Long = {
     val pk = idx.defn.partKeys.map(_.colName)
-    offsetListBytes(idx, "boundE" +: "sharedV" +: pk, "sharedV", dflt) +
+    offsetListBytes(idx, "sharedV" +: "boundE" +: pk, dflt) +
       idx.tables.groups(Seq("boundE")).size * (8L + SlotBytes) + // page edge-ID slot + CSR slot
       layerBytes(idx, "boundE", pk)
   }
