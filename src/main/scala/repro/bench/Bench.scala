@@ -39,7 +39,7 @@ object Bench {
     /** The A+ engine over `g` with the indexes `defns`. */
     def config(name: String, g: PropertyGraph, defns: Seq[IndexDefn], cat: Catalogue): Contender =
       Contender(name, defns, () => {
-        val cfg = SystemConfig.build(name, g, defns, cat, 8)
+        val cfg = SystemConfig.build(name, g, defns, cat)
         new Engine {
           def count(q: QueryGraph): Long = cfg.count(q)
           override def describe(q: QueryGraph): String = cfg.plan(q).describe
@@ -57,17 +57,17 @@ object Bench {
     def name: String = contender.name
   }
 
-  /** Builds the contenders one at a time. Each runs the first query once,
-    * untimed, to warm its caches and the JIT, then `count` is timed on every
-    * query and must equal the first contender's count. Memory and
-    * |E_indexed| are read before the contender is released, and it is
-    * released before the next one is built. */
+  /** Builds the contenders one at a time. Each runs every query once,
+    * untimed, to build its lookup tables and warm the JIT, then `count` is
+    * timed on every query and must equal the first contender's count.
+    * Memory and |E_indexed| are read before the contender is released, and
+    * it is released before the next one is built. */
   def compare(queries: Seq[QueryGraph], contenders: Seq[Contender]): Seq[Run] = {
     val runs = ArrayBuffer.empty[Run]
     for (c <- contenders) {
       val e = c.build()
       progress(s"built ${c.name}; warming")
-      e.count(queries.head)
+      queries.foreach(e.count)
       val timed = queries.zipWithIndex.map { case (q, i) =>
         progress(s"${c.name} ${q.name}: ${e.describe(q)}")
         val (n, t) = time(e.count(q))

@@ -12,16 +12,13 @@ object Table5Runner {
 
   val datasets: Seq[Datasets.DatasetDef] = Seq(Datasets.Ork, Datasets.LJ, Datasets.WT)
 
-  /** α at 5 % selectivity of the amount band on amt ∈ [1, 1000]. */
-  val Alpha = 50.0
-
   def run(spark: SparkSession, scale: Double = 1.0): String =
     Bench.banner(s"Table 5: fraud detection under D / D+VB_c / D+VB_c+EB_c (scale=$scale)") +
       datasets.map { ds =>
         val g = ds.generate(spark, 1, 1, scale)
-        Bench.configBlock(ds.name, g, MoneyFlow.queries(Alpha, g.numVertices), Seq(
+        Bench.configBlock(ds.name, g, MoneyFlow.calibrated(g), Seq(
           "D"           -> IndexConfigs.D,
           "D+VB_c"      -> (IndexConfigs.D ++ IndexConfigs.VBc),
-          "D+VB_c+EB_c" -> (IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(Alpha))))
+          "D+VB_c+EB_c" -> (IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(MoneyFlow.Alpha))))
       }.mkString
 }

@@ -1,20 +1,22 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, PlanFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.optimizer.BuildRight
 import org.apache.spark.sql.catalyst.planning.{ExtractEquiJoinKeys, PhysicalOperation}
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical.{LeafNode, LogicalPlan, Statistics}
 import org.apache.spark.sql.catalyst.plans.physical.{BroadcastMode, BroadcastPartitioning, Partitioning}
-import org.apache.spark.sql.execution.{LeafExecNode, SparkPlan, SparkStrategy}
+import org.apache.spark.sql.execution.{LeafExecNode, LocalTableScanExec, SparkPlan, SparkStrategy}
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, HashJoin, HashedRelationBroadcastMode}
 
-/** The entries of an A+ index or a cached property store, held on the driver,
+/** The entries of an A+ index or a cached graph table, held on the driver,
   * and the broadcast hash tables the Executor's joins probe: an index is
   * built once, and an access reaches its list in constant time (§3, §4.2).
   *
@@ -25,10 +27,12 @@ import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, HashJoin, Ha
   * `destroy()`.
   */
 final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
-                                  entries: Array[InternalRow]) {
+                                  private val entries: Seq[InternalRow]) {
   private val tables = mutable.Map[LookupTables.Shape, Broadcast[Any]]()
 
   def size: Long = entries.length
+
+  def columns: Seq[String] = attrs.map(_.name)
 
   /** Number of entries per value tuple of the columns `cols`; its size is
     * the number of distinct tuples. */
@@ -38,7 +42,8 @@ final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
   }
 
   /** The entries as a DataFrame with the source's columns. Joined on the
-    * right of an equi-join, it is planned as a probe of one of the tables. */
+    * right of an equi-join, it is planned as a probe of one of the tables;
+    * anywhere else, as a scan of the entries. */
   def frame: DataFrame = {
     LookupTables.register(spark)
     PlanFrame(spark, LookupLeaf(this, attrs.map(_.newInstance())))
@@ -67,11 +72,13 @@ final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
 
 object LookupTables {
 
-  /** Collects the entries of `df` to the driver: for an A+ index, the only
-    * copy of its entries. */
-  def collect(df: DataFrame): LookupTables = {
-    val qe = df.queryExecution
-    new LookupTables(df.sparkSession, qe.analyzed.output, qe.executedPlan.executeCollect())
+  /** Collects the entries of `df` to the driver: for an A+ index or a
+    * cached graph, the only copy of its entries. A `frame` is already on the
+    * driver and yields its own tables. */
+  def collect(df: DataFrame): LookupTables = df.queryExecution.analyzed match {
+    case LookupLeaf(t, _) => t
+    case plan => new LookupTables(df.sparkSession, plan.output,
+      ArraySeq.unsafeWrapArray(df.queryExecution.executedPlan.executeCollect()))
   }
 
   /** One access shape over the source's columns by position: the filters
@@ -100,15 +107,18 @@ object LookupTables {
           HashedRelationBroadcastMode(BindReferences.bindReferences(HashJoin.rewriteKeyExpr(rKeys), out)))
         Seq(BroadcastHashJoinExec(lKeys, rKeys, Inner, BuildRight, other, planLater(left),
           LookupExec(out, leaf.tables, shape)))
+      case leaf: LookupLeaf => Seq(LocalTableScanExec(leaf.output, leaf.tables.entries, None))
       case _ => Nil
     }
   }
 }
 
-/** The entries of `tables` as a relation with columns `output`; every
-  * `frame` is a new leaf with new attributes. Catalyst's rules read a leaf's
-  * statistics. */
-private[core] final case class LookupLeaf(tables: LookupTables, output: Seq[Attribute]) extends LeafNode {
+/** The entries of `tables` as a relation with columns `output`. Every
+  * `frame` is a new leaf with new attributes, and so is each side of a
+  * self-join of one frame. Catalyst's rules read a leaf's statistics. */
+private[core] final case class LookupLeaf(tables: LookupTables, output: Seq[Attribute])
+    extends LeafNode with MultiInstanceRelation {
+  override def newInstance(): LookupLeaf = copy(output = output.map(_.newInstance()))
   override def computeStats(): Statistics =
     Statistics(sizeInBytes = BigInt(8L * output.size * tables.size).max(1), rowCount = Some(tables.size))
 }

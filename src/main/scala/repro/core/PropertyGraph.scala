@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.storage.StorageLevel
 
 /** Column-name contract shared by the generator, indexes, and the engine. */
 object Schema {
@@ -22,44 +21,33 @@ object Schema {
 /** A property graph in the paper's data model: vertices and directed edges,
   * both with key-value properties.
   *
-  * ``vertexProps`` / ``edgeProps`` are the *property store*: the engine joins
-  * against them whenever a predicate touches a property that the chosen A+
-  * index does not materialize — the dataflow analogue of GraphflowDB reading
-  * a property page per matched edge ("read the property and run a predicate").
-  * Their entries are held on the driver (``vertexStore`` / ``edgeStore``),
-  * and each read probes a hash table built from them once ([[LookupTables]]).
+  * ``vertexStore`` / ``edgeStore`` hold every vertex and edge with all its
+  * columns on the driver; a cached graph's ``vertices`` / ``edges`` are
+  * frames over them, so the graph is held once. They are also the *property
+  * store*: the engine joins against them whenever a predicate touches a
+  * property that the chosen A+ index does not materialize — the dataflow
+  * analogue of GraphflowDB reading a property page per matched edge ("read
+  * the property and run a predicate"). Each read probes a hash table built
+  * from the entries once ([[LookupTables]]).
   */
 final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
 
-  /** Property-store view of the vertices, keyed by vertex ID. */
-  lazy val vertexProps: DataFrame = vertices
-
-  /** Property-store view of the edges, keyed by edge ID. */
-  lazy val edgeProps: DataFrame =
-    edges.selectExpr((Schema.EdgeId +: Schema.EdgeProps): _*)
-
-  /** The property stores' entries, collected to the driver, and the lookup
-    * tables built over them. */
-  lazy val vertexStore: LookupTables = LookupTables.collect(vertexProps)
-  lazy val edgeStore: LookupTables   = LookupTables.collect(edgeProps)
+  /** The vertices' and edges' entries, collected to the driver, and the
+    * lookup tables built over them. */
+  lazy val vertexStore: LookupTables = LookupTables.collect(vertices)
+  lazy val edgeStore: LookupTables   = LookupTables.collect(edges)
 
   lazy val numVertices: Long = vertexStore.size
   lazy val numEdges: Long    = edgeStore.size
 
-  /** Pin both tables in memory (every compared system gets the data resident,
-    * like the paper's in-memory setting) and materialize them by collecting
-    * the property stores' entries. */
-  def cache(): PropertyGraph = {
-    vertices.persist(StorageLevel.MEMORY_ONLY)
-    edges.persist(StorageLevel.MEMORY_ONLY)
-    numVertices; numEdges
-    this
-  }
+  /** The graph resident in memory (every compared system gets the data
+    * resident, like the paper's in-memory setting): the vertices and edges
+    * collected once to the driver, as a graph whose tables are frames over
+    * those entries. */
+  def cache(): PropertyGraph = PropertyGraph(vertexStore.frame, edgeStore.frame)
 
-  /** Unpersist both tables and destroy the property stores' lookup tables. */
+  /** Destroy the lookup tables built over the graph's entries. */
   def uncache(): PropertyGraph = {
-    vertices.unpersist(false)
-    edges.unpersist(false)
     vertexStore.destroy()
     edgeStore.destroy()
     this

@@ -40,9 +40,6 @@ object SystemConfig {
   /** Build every index of `defns` over `g` (entries collected to the
     * driver) and wire the stores. The catalogue is built once per graph and
     * can be shared. */
-  def build(name: String, g: PropertyGraph, defns: Seq[IndexDefn],
-            cat: Catalogue, numPartitions: Int = 8): SystemConfig = {
-    val built = defns.map(d => APlusIndex.build(g, d, numPartitions))
-    SystemConfig(name, g, cat, new IndexStore(built))
-  }
+  def build(name: String, g: PropertyGraph, defns: Seq[IndexDefn], cat: Catalogue): SystemConfig =
+    SystemConfig(name, g, cat, new IndexStore(defns.map(APlusIndex.build(g, _))))
 }

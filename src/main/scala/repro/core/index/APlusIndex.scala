@@ -1,5 +1,6 @@
 package repro.core.index
 
+import scala.annotation.unused
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.{LookupTables, PropertyGraph, Schema}
@@ -10,8 +11,7 @@ final case class IndexStats(entries: Long, nLists: Long) {
   def avgListLen: Double = if (nLists == 0) 0.0 else entries.toDouble / nLists
 }
 
-/** A built A+ index: its entries, collected once to the driver from a
-  * clustered DataFrame plan.
+/** A built A+ index: its entries, collected once to the driver.
   *
   * Column contract (the dataflow analogue of the paper's physical layout):
   *  - ``bound``  — bound vertex ID (default / vertex-bound indexes)
@@ -19,19 +19,17 @@ final case class IndexStats(entries: Long, nLists: Long) {
   *  - ``eId``    — adjacent edge ID, ``nbr`` — neighbour vertex ID
   *  - ``adj_<p>`` / ``nbr_<p>`` — one column per partitioning/sorting key.
   *
-  * ``df`` is the plan the entries were collected from, ``repartition``-ed on
-  * the secondary partitioning keys and ``sortWithinPartitions``-ed on
-  * (partKeys ++ sortKeys); it is not cached. The entries are held once, on
-  * the driver (``tables``): an access's literal filters on partition and
-  * sort keys select its granular list there, the Executor probes a hash
-  * table built from that list once ([[LookupTables]]), and the memory model
-  * counts its bytes over them.
+  * The entries are held once, on the driver (``tables``), in no particular
+  * order: an access's literal filters on partition and sort keys select its
+  * granular list there, the Executor probes a hash table built from that
+  * list once ([[LookupTables]]), and the memory model counts its bytes over
+  * them.
   */
-final case class APlusIndex(defn: IndexDefn, df: DataFrame, tables: LookupTables, stats: IndexStats) {
+final case class APlusIndex(defn: IndexDefn, tables: LookupTables, stats: IndexStats) {
   def name: String = defn.name
   def isEdgeBound: Boolean = defn.isEdgeBound
   def boundCol: String = if (isEdgeBound) "boundE" else "bound"
-  def hasCol(c: String): Boolean = df.columns.contains(c)
+  def hasCol(c: String): Boolean = tables.columns.contains(c)
   /** Does this index materialize property `prop` of the adjacent edge? */
   def coversAdj(prop: String): Boolean = hasCol(s"adj_$prop")
   /** Does this index materialize property `prop` of the neighbour vertex? */
@@ -41,10 +39,11 @@ final case class APlusIndex(defn: IndexDefn, df: DataFrame, tables: LookupTables
 
 object APlusIndex {
 
-  /** Build (lay out and collect) the index described by `defn`
-    * over `g`: the adjacent edges with every property of each role the view
-    * or the keys read, filtered by the view, keeping the ID and key columns. */
-  def build(g: PropertyGraph, defn: IndexDefn, numPartitions: Int = 8): APlusIndex = {
+  /** Build and collect the index described by `defn` over `g`: the adjacent
+    * edges with every property of each role the view or the keys read,
+    * filtered by the view, keeping the ID and key columns. `numPartitions`
+    * is unused; the benchmark harness still passes it. */
+  def build(g: PropertyGraph, defn: IndexDefn, @unused numPartitions: Int = 0): APlusIndex = {
     val (adjacent, bound, idCols) = defn.kind match {
       case EdgeBoundKind(shape) => (twoPaths(g, shape), "boundE", Seq("boundE", "sharedV", "eId", "nbr"))
       case _ =>
@@ -60,22 +59,9 @@ object APlusIndex {
     val ids = Map(Role.Bound -> bound, Role.Adj -> "eId", Role.Nbr -> "nbr")
     df = defn.view.foldLeft(df)((d, p) =>
       d.where(p.column((role, prop) => col(s"${role}_$prop"), role => col(ids(role)))))
-    layoutAndCollect(df.select((idCols ++ keyCols(defn)).map(col): _*), defn, bound, numPartitions)
-  }
-
-  private def keyCols(defn: IndexDefn): Seq[String] =
-    (defn.partKeys ++ defn.sortKeys).map(_.colName).distinct
-
-  private def layoutAndCollect(raw: DataFrame, defn: IndexDefn, bound: String,
-                               numPartitions: Int): APlusIndex = {
-    val pk = defn.partKeys.map(_.colName)
-    val sk = defn.sortKeys.map(_.colName)
-    val clustered =
-      if (pk.nonEmpty) raw.repartition(numPartitions, pk.map(col): _*)
-      else raw.repartition(numPartitions, col(bound))
-    val ordered = clustered.sortWithinPartitions((pk ++ sk ++ Seq(bound, "nbr")).distinct.map(col): _*)
-    val tables = LookupTables.collect(ordered)
-    APlusIndex(defn, ordered, tables, IndexStats(tables.size, tables.groups(bound +: pk).size))
+    val keyCols = (defn.partKeys ++ defn.sortKeys).map(_.colName).distinct
+    val tables = LookupTables.collect(df.select((idCols ++ keyCols).map(col): _*))
+    APlusIndex(defn, tables, IndexStats(tables.size, tables.groups(bound +: defn.partKeys.map(_.colName)).size))
   }
 
   /** Columns `props` renamed ``<role>_<p>``. */

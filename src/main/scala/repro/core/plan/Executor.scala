@@ -14,7 +14,7 @@ import repro.core.query._
   *    matched query edge (its edge ID);
   *  - ``<var>__<prop>`` columns for properties already in hand — either
   *    carried for free out of an index's materialized key columns, or fetched
-  *    by a *property-store join* against ``vertexProps``/``edgeProps`` (the
+  *    by a *property-store join* against ``vertexStore``/``edgeStore`` (the
   *    analogue of a per-tuple property lookup in a GDBMS).
   *
   * Predicates are applied eagerly: every query predicate starts pending; an

@@ -35,23 +35,23 @@ object TestFixtures {
   lazy val financialCat: Catalogue = Catalogue.build(financial)
 
   // Index configurations over the labelled graph (Table 3 trio).
-  lazy val cfgD:  SystemConfig = SystemConfig.build("D",  labelled, IndexConfigs.D,  labelledCat, 4)
-  lazy val cfgDs: SystemConfig = SystemConfig.build("Ds", labelled, IndexConfigs.Ds, labelledCat, 4)
-  lazy val cfgDp: SystemConfig = SystemConfig.build("Dp", labelled, IndexConfigs.Dp, labelledCat, 4)
+  lazy val cfgD:  SystemConfig = SystemConfig.build("D",  labelled, IndexConfigs.D,  labelledCat)
+  lazy val cfgDs: SystemConfig = SystemConfig.build("Ds", labelled, IndexConfigs.Ds, labelledCat)
+  lazy val cfgDp: SystemConfig = SystemConfig.build("Dp", labelled, IndexConfigs.Dp, labelledCat)
 
   // Index configurations over the financial graph (Tables 4/5/6).
   lazy val finD: SystemConfig =
-    SystemConfig.build("D", financial, IndexConfigs.D, financialCat, 4)
+    SystemConfig.build("D", financial, IndexConfigs.D, financialCat)
   lazy val finDVBt: SystemConfig =
-    SystemConfig.build("D+VBt", financial, IndexConfigs.D :+ IndexConfigs.VBt, financialCat, 4)
+    SystemConfig.build("D+VBt", financial, IndexConfigs.D :+ IndexConfigs.VBt, financialCat)
   lazy val finDVBc: SystemConfig =
-    SystemConfig.build("D+VBc", financial, IndexConfigs.D ++ IndexConfigs.VBc, financialCat, 4)
+    SystemConfig.build("D+VBc", financial, IndexConfigs.D ++ IndexConfigs.VBc, financialCat)
   lazy val finDVBcEBc: SystemConfig =
     SystemConfig.build("D+VBc+EBc", financial,
-      IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(Alpha), financialCat, 4)
+      IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(Alpha), financialCat)
   lazy val finDEBplain: SystemConfig =
     SystemConfig.build("D+EBmf", financial,
-      IndexConfigs.D :+ IndexConfigs.EBplain(Alpha), financialCat, 4)
+      IndexConfigs.D :+ IndexConfigs.EBplain(Alpha), financialCat)
 
   def spark: SparkSession = SparkSpec.shared
 }

@@ -58,7 +58,7 @@ class CoverageSpec extends SparkSpec {
 
   for ((name, defn, expected) <- cases) {
     test(s"coverage: $name") {
-      val ix = APlusIndex.build(F.financial, defn, 2)
+      val ix = APlusIndex.build(F.financial, defn)
       val got = Coverage.of(ix, q, q.edge("e"), "a", "b")
       assert(got.map(c => (c.keyed.toSet, c.byView.toSet)) == expected)
       got.foreach(c => assert(c.size == c.preds.toSet.size, "a predicate counted twice"))

@@ -42,7 +42,7 @@ class EngineCorrectnessSpec extends SparkSpec {
     val label = q.vertex(q.edges.head.to).label.get
     val vb = IndexDefn("VB_nl", VertexBoundKind, Fwd,
       partKeys = Seq(Key(AdjEdge, "eLabel")), view = Seq(VLabel(Role.Nbr, label)))
-    val cfg = SystemConfig.build("D+VB_nl", F.labelled, IndexConfigs.D :+ vb, F.labelledCat, 4)
+    val cfg = SystemConfig.build("D+VB_nl", F.labelled, IndexConfigs.D :+ vb, F.labelledCat)
     try {
       assert(cfg.plan(q).describe.contains(":VB_nl@"), cfg.plan(q).describe)
       check(cfg, q)

@@ -74,8 +74,10 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("property store views expose the expected columns") {
-    assert(F.tiny.edgeProps.columns.toSeq ==
-      Seq("eId", "eLabel", "amt", "date", "time", "currency"))
-    assert(F.tiny.vertexProps.columns.toSeq == Seq("vId", "vLabel", "city", "acc"))
+    assert(F.tiny.edgeStore.columns ==
+      Seq("eId", "src", "dst", "eLabel", "amt", "date", "time", "currency"))
+    assert(F.tiny.vertexStore.columns == Seq("vId", "vLabel", "city", "acc"))
+    assert(F.tiny.edges.columns.toSeq == F.tiny.edgeStore.columns)
+    assert(F.tiny.vertices.columns.toSeq == F.tiny.vertexStore.columns)
   }
 }

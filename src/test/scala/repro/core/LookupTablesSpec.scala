@@ -4,6 +4,7 @@ import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{classic, DataFrame}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.execution.SparkPlan
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, AdaptiveSparkPlanHelper}
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
@@ -55,14 +56,22 @@ class LookupTablesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("an index is held once, on the driver: Spark caches none, and the memory model runs no job") {
-    val cfg = SystemConfig.build("D+VBc+EBc", F.financial,
-      IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(F.Alpha), F.financialCat, 4)
+    val g = GraphGen.generate(spark, GraphSpec("held-once", nVertices = 60, nEdges = 300,
+      nVLabels = 1, nELabels = 1, nCities = 5, seed = 11L)).cache()
+    val cfg = SystemConfig.build("D+VBc+EBc", g,
+      IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(F.Alpha), Catalogue.build(g))
     try {
-      val cache = spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager
-      for (ix <- cfg.store.indexes)
-        assert(cache.lookupCachedData(ix.df.asInstanceOf[classic.Dataset[_]]).isEmpty, s"${ix.name} is in Spark's cache")
+      assert(spark.sparkContext.getRDDStorageInfo.isEmpty, "Spark holds cached blocks")
+      assert(spark.asInstanceOf[classic.SparkSession].sharedState.cacheManager.isEmpty, "Spark's cache is not empty")
       assert(jobs(MemoryModel.configBytes(cfg.g, cfg.store.indexes))._2 == 0)
-    } finally cfg.unpersist()
+
+      // A self-join of one frame: each side has its own attributes.
+      val e = g.edges
+      val twoPaths = e.as("a").join(e.as("b"), col("a.dst") === col("b.src")).count()
+      val ends = e.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
+      val outDeg = ends.groupMapReduce(_._1)(_ => 1L)(_ + _)
+      assert(twoPaths == ends.map(se => outDeg.getOrElse(se._2, 0L)).sum)
+    } finally { cfg.unpersist(); g.uncache() }
   }
 
   /** Tables built over the configuration's indexes and graph. */
@@ -119,7 +128,7 @@ class LookupTablesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val qs = SubgraphQueries.forLabels(nVLabels = 2, nELabels = 2).take(4)
     def tables(cfg: SystemConfig) = (cfg.store.indexes.map(_.tables) :+ g.vertexStore :+ g.edgeStore).map(_.live)
 
-    val first = SystemConfig.build("D", g, IndexConfigs.D, cat, 2)
+    val first = SystemConfig.build("D", g, IndexConfigs.D, cat)
     qs.foreach(first.count)
     assert(tables(first).sum > 0)
     first.unpersist()
@@ -127,7 +136,7 @@ class LookupTablesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(tables(first).forall(_ == 0), tables(first))
 
     def rows(df: DataFrame) = df.select(df.columns.sorted.map(df.col): _*).collect().map(_.toSeq).toSet
-    val again = SystemConfig.build("D", g, IndexConfigs.D, cat, 2)
+    val again = SystemConfig.build("D", g, IndexConfigs.D, cat)
     try for (q <- qs) assert(rows(again.run(q)) == rows(NaiveEvaluator.run(g, q)), q.name)
     finally { again.unpersist(); g.uncache() }
   }

@@ -20,7 +20,7 @@ class MemoryModelSpec extends SparkSpec {
 
   test("default index bytes = 12B per entry + CSR + partition layer") {
     val ix = APlusIndex.build(F.tiny, IndexDefn("m", DefaultKind, Fwd,
-      partKeys = Seq(Key(AdjEdge, "eLabel"))), 2)
+      partKeys = Seq(Key(AdjEdge, "eLabel"))))
     val layerSlots = F.tiny.edges.select("src", "eLabel").distinct().count()
     val expected = 12L * 300 + 4L * 60 + 4L * layerSlots
     assert(MemoryModel.defaultIndexBytes(F.tiny, ix) == expected)
@@ -29,9 +29,9 @@ class MemoryModelSpec extends SparkSpec {
 
   test("shared-layer vertex-bound index stores only offset lists (~1-2 B/entry)") {
     val dflt = APlusIndex.build(F.tiny, IndexDefn("d", DefaultKind, Fwd,
-      partKeys = Seq(Key(AdjEdge, "eLabel"))), 2)
+      partKeys = Seq(Key(AdjEdge, "eLabel"))))
     val vb = APlusIndex.build(F.tiny, IndexDefn("vb", VertexBoundKind, Fwd,
-      partKeys = Seq(Key(AdjEdge, "eLabel")), sortKeys = Seq(Key(AdjEdge, "time"))), 2)
+      partKeys = Seq(Key(AdjEdge, "eLabel")), sortKeys = Seq(Key(AdjEdge, "time"))))
     val b = MemoryModel.indexBytes(F.tiny, vb, Seq(dflt))
     // 300 entries, tiny degrees => 1 byte per offset + 1 byte header per list
     val nLists = vb.stats.nLists
@@ -43,10 +43,10 @@ class MemoryModelSpec extends SparkSpec {
 
   test("predicate vertex-bound index pays its own layers") {
     val dflt = APlusIndex.build(F.tiny, IndexDefn("d2", DefaultKind, Fwd,
-      partKeys = Seq(Key(AdjEdge, "eLabel"))), 2)
+      partKeys = Seq(Key(AdjEdge, "eLabel"))))
     val vb = APlusIndex.build(F.tiny, IndexDefn("vbp", VertexBoundKind, Fwd,
       partKeys = Seq(Key(AdjEdge, "eLabel")),
-      view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 500.0)))), 2)
+      view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 500.0)))))
     val shared = MemoryModel.vertexBoundBytes(F.tiny, vb, dflt, sharesLayers = true)
     val owned  = MemoryModel.indexBytes(F.tiny, vb, Seq(dflt))
     assert(owned > shared, "a predicate view cannot share the default layers")
@@ -54,10 +54,10 @@ class MemoryModelSpec extends SparkSpec {
   }
 
   test("edge-bound bytes include page slots per bound edge") {
-    val dflt = APlusIndex.build(F.tiny, IndexDefn("d3", DefaultKind, Fwd), 2)
+    val dflt = APlusIndex.build(F.tiny, IndexDefn("d3", DefaultKind, Fwd))
     val eb = APlusIndex.build(F.tiny, IndexDefn("eb", EdgeBoundKind(DstFwd), Fwd,
-      view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))), 2)
-    val boundEdges = eb.df.select("boundE").distinct().count()
+      view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))))
+    val boundEdges = eb.tables.groups(Seq("boundE")).size
     val b = MemoryModel.edgeBoundBytes(eb, dflt)
     assert(b >= boundEdges * 12L, "page slots (8+4 B) per bound edge are accounted")
     assert(b >= eb.stats.entries,  "at least one offset byte per entry")
@@ -65,8 +65,8 @@ class MemoryModelSpec extends SparkSpec {
   }
 
   test("a secondary index without a default index in its offsets' direction is refused") {
-    val vb = APlusIndex.build(F.tiny, IndexDefn("vbx", VertexBoundKind, Bwd), 2)
-    val fwd = APlusIndex.build(F.tiny, IndexDefn("dx", DefaultKind, Fwd), 2)
+    val vb = APlusIndex.build(F.tiny, IndexDefn("vbx", VertexBoundKind, Bwd))
+    val fwd = APlusIndex.build(F.tiny, IndexDefn("dx", DefaultKind, Fwd))
     val e = intercept[IllegalArgumentException](MemoryModel.indexBytes(F.tiny, vb, Seq(fwd)))
     assert(e.getMessage.contains("vbx"))
     fwd.unpersist(); vb.unpersist()
@@ -78,13 +78,13 @@ class MemoryModelSpec extends SparkSpec {
     // Vertex IDs are 1-based; the CSR's are 0-based.
     val csr = CSRGraph.build(nV, edges.map(_.getLong(0).toInt - 1), edges.map(_.getLong(1).toInt - 1),
       edges.map(_.getLong(2)))
-    val dflt = APlusIndex.build(F.tiny, IndexDefn("csr", DefaultKind, Fwd), 2)
+    val dflt = APlusIndex.build(F.tiny, IndexDefn("csr", DefaultKind, Fwd))
     // The CSR's `offsets` has nV + 1 slots, the last one the end of the last
     // list; the model counts one 4 B slot per vertex.
     assert(MemoryModel.defaultIndexBytes(F.tiny, dflt) == csr.idListBytes + 4L * nV)
 
     val vb = APlusIndex.build(F.tiny, IndexDefn("vbt", VertexBoundKind, Fwd,
-      sortKeys = Seq(Key(AdjEdge, "time"))), 2)
+      sortKeys = Seq(Key(AdjEdge, "time"))))
     val time = edges.map(r => r.getLong(2) -> r.getInt(3)).toMap
     val offsetBytes = (0 until nV).filter(csr.degree(_) > 0).map { v =>
       val list = (csr.listStart(v) until csr.listEnd(v)).sortBy(i => time(csr.eIds(i)))

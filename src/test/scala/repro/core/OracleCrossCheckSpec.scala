@@ -14,9 +14,9 @@ class OracleCrossCheckSpec extends SparkSpec {
 
   private lazy val tinyCat = repro.core.index.Catalogue.build(F.tiny)
   private lazy val tinyD =
-    SystemConfig.build("tinyD", F.tiny, repro.workloads.IndexConfigs.D, tinyCat, 2)
+    SystemConfig.build("tinyD", F.tiny, repro.workloads.IndexConfigs.D, tinyCat)
   private lazy val tinyDp =
-    SystemConfig.build("tinyDp", F.tiny, repro.workloads.IndexConfigs.Dp, tinyCat, 2)
+    SystemConfig.build("tinyDp", F.tiny, repro.workloads.IndexConfigs.Dp, tinyCat)
 
   test("labelled 2-path equals DuckDB") {
     val q = QueryGraph("p",
