@@ -1,6 +1,5 @@
 package repro.core.index
 
-import org.apache.spark.sql.functions._
 import repro.core.{PropertyGraph, Schema}
 import repro.core.query._
 
@@ -8,9 +7,10 @@ import repro.core.query._
   * (direction, edge label[, neighbour label]) plus property statistics used
   * to estimate predicate selectivities for the i-cost metric.
   *
-  * Built once per graph by aggregation; label-conditioned degrees are *per
-  * graph vertex* (lists of vertices with no matching edges count as empty),
-  * which is what an extension multiplies partial-match cardinalities by.
+  * Built once per graph by counting on the driver; label-conditioned
+  * degrees are *per graph vertex* (lists of vertices with no matching edges
+  * count as empty), which is what an extension multiplies partial-match
+  * cardinalities by.
   */
 final case class Catalogue(
     nV: Long,
@@ -84,33 +84,34 @@ object Catalogue {
 
   private val NumericEdgeProps = Seq("amt", "date", "time", "currency")
 
-  /** Two Spark aggregates — vertices by their property values, edges by
-    * (edge label, src label, dst label) — and every statistic derived from
-    * their integer counts on the driver. */
+  /** Every statistic counted on the driver over the graph's collected
+    * entries (`vertexStore`, `edgeStore`): vertices by the value of each
+    * property, and edges by (edge label, src label, dst label). No Spark job
+    * runs once the graph is cached. */
   def build(g: PropertyGraph): Catalogue = {
     val nV = g.numVertices
     val nE = g.numEdges
 
-    val vGroups = g.vertices.groupBy(Schema.VertexProps.map(col): _*).count().collect()
-    val vLabelFrac = vGroups
-      .groupMapReduce(_.getAs[Int]("vLabel"))(_.getAs[Long]("count"))(_ + _)
-      .map { case (l, n) => l -> n.toDouble / nV }
+    val vLabelFrac = g.vertexStore.groups(Seq("vLabel")).map { case (l, n) =>
+      l.head.asInstanceOf[Int] -> n.toDouble / nV
+    }
     val vPropCard = Schema.VertexProps.map { p =>
-      p -> vGroups.map(_.getAs[Any](p)).filter(_ != null).distinct.length.toLong
+      p -> g.vertexStore.groups(Seq(p)).keys.count(_.head != null).toLong
     }.toMap
 
-    // Each edge with its endpoints' labels, looked up in a broadcast table.
-    def endLabel(end: String) = broadcast(g.vertices.select(
-      col(Schema.VertexId).as(s"__$end"), col("vLabel").as(s"${end}Label")))
-    val eGroups = g.edges
-      .join(endLabel(Schema.Src), col(Schema.Src) === col(s"__${Schema.Src}"))
-      .join(endLabel(Schema.Dst), col(Schema.Dst) === col(s"__${Schema.Dst}"))
-      .groupBy("eLabel", s"${Schema.Src}Label", s"${Schema.Dst}Label")
-      .agg(count(lit(1)), NumericEdgeProps.flatMap(p =>
-        Seq(min(col(p)).cast("double"), max(col(p)).cast("double"))): _*)
-      .collect()
-      .map(r => EdgeGroup(r.getInt(0), Map(Bwd -> r.getInt(1), Fwd -> r.getInt(2)), r.getLong(3),
-        NumericEdgeProps.indices.map(i => (r.getDouble(4 + 2 * i), r.getDouble(5 + 2 * i)))))
+    // Each edge whose endpoints are graph vertices, grouped with its
+    // endpoints' labels.
+    val label = g.vertexStore.values(Seq(Schema.VertexId, "vLabel")).map(r => r(0) -> r(1).asInstanceOf[Int]).toMap
+    val eGroups = g.edgeStore.values(Seq("eLabel", Schema.Src, Schema.Dst) ++ NumericEdgeProps)
+      .filter(e => label.contains(e(1)) && label.contains(e(2)))
+      .groupBy(e => (e(0).asInstanceOf[Int], label(e(1)), label(e(2))))
+      .map { case ((eLabel, srcLabel, dstLabel), es) =>
+        EdgeGroup(eLabel, Map(Bwd -> srcLabel, Fwd -> dstLabel), es.size.toLong,
+          NumericEdgeProps.indices.map { i =>
+            val xs = es.map(_(3 + i).asInstanceOf[Number].doubleValue)
+            (xs.min, xs.max)
+          })
+      }
 
     /** Edges per graph vertex, summed over the groups sharing a key. */
     def perVertex[K](key: EdgeGroup => K): Map[K, Double] =

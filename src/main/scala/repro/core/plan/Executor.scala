@@ -30,7 +30,9 @@ import repro.core.query._
   * planned as a probe of a broadcast hash table built once per access shape
   * and reused by every later query — the analogue of an index nested-loop
   * lookup "ID → list" (§4.2) — so no join adds a Spark job, a shuffle or a
-  * sort to the query's action.
+  * sort to the query's action. The query's `count()` is one Spark job of one
+  * stage with no shuffle: each task counts its partition's matches and the
+  * driver sums them (`CountExec`).
   *
   * The ``__b``, ``__n`` and ``__j`` join-key columns are unique within one
   * Executor and stay in the partial match; the final `select` prunes them.
