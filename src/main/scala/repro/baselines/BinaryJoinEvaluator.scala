@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{PropertyGraph, SystemConfig}
-import repro.core.index.{Catalogue, IndexStore}
+import repro.core.PropertyGraph
+import repro.core.index.{APlusIndex, IndexStore}
 import repro.core.plan._
 import repro.core.query._
 import repro.workloads.IndexConfigs
@@ -22,15 +22,9 @@ import repro.workloads.IndexConfigs
   * (73x–3300x), which also reflects Neo4j's interpreted runtime — our
   * substitute isolates only the access-path mechanisms.
   */
-final class BinaryJoinEvaluator(g: PropertyGraph, cat: Catalogue) {
+final class BinaryJoinEvaluator(g: PropertyGraph) {
 
-  private val store: IndexStore =
-    SystemConfig.build("N4-like", g, IndexConfigs.D, cat).store
-
-  private def defaultAccess(q: QueryGraph, qe: QEdge, boundVar: String): Access = {
-    val cands = store.vertexBoundCandidates(q, qe, boundVar)
-    Access(qe, cands.head, VBound(boundVar))
-  }
+  private val store = new IndexStore(IndexConfigs.D.map(APlusIndex.build(g, _)))
 
   /** Fixed-order left-deep plan: no optimizer, no secondary indexes. */
   def plan(q: QueryGraph): Plan = {
@@ -44,7 +38,7 @@ final class BinaryJoinEvaluator(g: PropertyGraph, cat: Catalogue) {
     while (s.size < q.vertices.size) {
       val nv = q.vertices.map(_.name).filterNot(s).find(v => q.connecting(v, s).nonEmpty).get
       val accesses = q.connecting(nv, s).map { qe =>
-        defaultAccess(q, qe, if (s(qe.from)) qe.from else qe.to)
+        store.accesses(q, qe, if (s(qe.from)) qe.from else qe.to).head
       }
       ops += ExtendOp(nv, accesses)
       s += nv

@@ -29,7 +29,7 @@ object Table7Runner {
             def count(q: QueryGraph): Long = FrontierEvaluator.count(g, q)
           }),
           Contender("N4-like", Nil, () => {
-            val n4 = new BinaryJoinEvaluator(g, cat)
+            val n4 = new BinaryJoinEvaluator(g)
             new Engine {
               def count(q: QueryGraph): Long = n4.count(q)
               override def release(): Unit = n4.unpersist()

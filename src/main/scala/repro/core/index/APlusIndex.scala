@@ -6,10 +6,7 @@ import org.apache.spark.sql.functions._
 import repro.core.{LookupTables, PropertyGraph, Schema}
 
 /** Cardinality statistics of a built index, used by the optimizer's i-cost. */
-final case class IndexStats(entries: Long, nLists: Long) {
-  /** Average length of the index's most granular lists (non-empty ones). */
-  def avgListLen: Double = if (nLists == 0) 0.0 else entries.toDouble / nLists
-}
+final case class IndexStats(entries: Long, nLists: Long)
 
 /** A built A+ index: its entries, collected once to the driver.
   *
@@ -44,13 +41,12 @@ object APlusIndex {
     * filtered by the view, keeping the ID and key columns. `numPartitions`
     * is unused; the benchmark harness still passes it. */
   def build(g: PropertyGraph, defn: IndexDefn, @unused numPartitions: Int = 0): APlusIndex = {
+    // the adjacent edges, bound at their end in the index's direction
+    val edges = g.edges.select((Seq(col(defn.dir.boundCol).as("bound"), col(Schema.EdgeId).as("eId"),
+      col(defn.dir.nbrCol).as("nbr")) ++ roleProps(Role.Adj, Schema.EdgeProps)): _*)
     val (adjacent, bound, idCols) = defn.kind match {
-      case EdgeBoundKind(shape) => (twoPaths(g, shape), "boundE", Seq("boundE", "sharedV", "eId", "nbr"))
-      case _ =>
-        val d = defn.dir
-        val edges = g.edges.select((Seq(col(d.boundCol).as("bound"), col(Schema.EdgeId).as("eId"),
-          col(d.nbrCol).as("nbr")) ++ roleProps(Role.Adj, Schema.EdgeProps)): _*)
-        (edges, "bound", Seq("bound", "eId", "nbr"))
+      case EdgeBoundKind(shape) => (twoPaths(g, shape, edges), "boundE", Seq("boundE", "sharedV", "eId", "nbr"))
+      case _                    => (edges, "bound", Seq("bound", "eId", "nbr"))
     }
     def reads(role: String) = defn.view.exists(_.vVars.contains(role))
     var df = adjacent
@@ -77,22 +73,16 @@ object APlusIndex {
   }
 
   /** The 2-paths of `shape`: bound edge ``boundE`` (its properties as
-    * ``bnd_<p>``), shared vertex ``sharedV``, adjacent edge ``eId`` (its
-    * properties as ``adj_<p>``) and its other end ``nbr``. */
-  private def twoPaths(g: PropertyGraph, shape: EBShape): DataFrame = {
+    * ``bnd_<p>``), shared vertex ``sharedV``, and the adjacent edge of
+    * `adjacent` bound to that vertex, ``eId`` (its properties as
+    * ``adj_<p>``) with its other end ``nbr``. */
+  private def twoPaths(g: PropertyGraph, shape: EBShape, adjacent: DataFrame): DataFrame = {
     val sharedOfB = if (shape.sharedIsDst) Schema.Dst else Schema.Src
     val eb = g.edges.select(
       (Seq(col(Schema.EdgeId).as("boundE"), col(sharedOfB).as("sharedV")) ++
         roleProps(Role.Bound, Schema.EdgeProps)): _*)
-
-    val (adjAnchor, adjNbr) =
-      if (shape.adjOutgoing) (Schema.Src, Schema.Dst) else (Schema.Dst, Schema.Src)
-    val adj = g.edges.select(
-      (Seq(col(Schema.EdgeId).as("eId"), col(adjAnchor).as("__anchor"), col(adjNbr).as("nbr")) ++
-        roleProps(Role.Adj, Schema.EdgeProps)): _*)
-
-    eb.join(adj, col("sharedV") === col("__anchor"))
-      .drop("__anchor")
+    eb.join(adjacent, col("sharedV") === col("bound"))
+      .drop("bound")
       .where(col("boundE") =!= col("eId")) // an edge is not its own 2-path partner
   }
 }

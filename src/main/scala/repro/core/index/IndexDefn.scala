@@ -10,18 +10,20 @@ case object Bwd extends Direction { val boundCol = "dst"; val nbrCol = "src" }
 /** The four 2-path shapes of secondary edge-bound indexes (§2.2.2).
   *
   * ``sharedIsDst``: the shared vertex of the 2-path is the bound edge's
-  * destination (else its source). ``adjOutgoing``: the adjacent edge leaves
-  * the shared vertex (else it points into it). Paper naming:
+  * destination (else its source). ``adjDir``: the direction of the adjacent
+  * edge seen from the shared vertex, `Fwd` when it leaves the shared vertex
+  * and `Bwd` when it points into it; it is the index's direction. Paper
+  * naming:
   *  - Destination-Forward  = (shared=dst, adj outgoing)
   *  - Destination-Backward = (shared=dst, adj incoming)
   *  - Source-Forward       = (shared=src, adj incoming)
   *  - Source-Backward      = (shared=src, adj outgoing)
   */
-sealed trait EBShape { def sharedIsDst: Boolean; def adjOutgoing: Boolean }
-case object DstFwd extends EBShape { val sharedIsDst = true;  val adjOutgoing = true  }
-case object DstBwd extends EBShape { val sharedIsDst = true;  val adjOutgoing = false }
-case object SrcFwd extends EBShape { val sharedIsDst = false; val adjOutgoing = false }
-case object SrcBwd extends EBShape { val sharedIsDst = false; val adjOutgoing = true  }
+sealed trait EBShape { def sharedIsDst: Boolean; def adjDir: Direction }
+case object DstFwd extends EBShape { val sharedIsDst = true;  val adjDir: Direction = Fwd }
+case object DstBwd extends EBShape { val sharedIsDst = true;  val adjDir: Direction = Bwd }
+case object SrcFwd extends EBShape { val sharedIsDst = false; val adjDir: Direction = Bwd }
+case object SrcBwd extends EBShape { val sharedIsDst = false; val adjDir: Direction = Fwd }
 
 sealed trait IndexKind
 /** Default A+ index: contains every edge; the reference the offset lists of
@@ -59,6 +61,8 @@ final case class Key(target: KeyTarget, prop: String) {
 /** Declarative definition of one A+ index (the unit stored in the INDEX
   * STORE and referenced by CREATE/RECONFIGURE commands in the paper).
   *
+  * @param dir      the direction of the adjacent edges; for an edge-bound
+  *                 index, its shape's `adjDir`
   * @param partKeys nested secondary partitioning criteria, outermost first
   * @param sortKeys final (most granular) list sort criteria
   * @param view     the view's predicate σ_pred (§2.2), a conjunction over the
@@ -81,7 +85,9 @@ final case class IndexDefn(
     case VertexBoundKind =>
       require(!view.exists(_.isInstanceOf[EdgePairPred]),
         s"$name: pair predicates are for edge-bound indexes")
-    case EdgeBoundKind(_) =>
+    case EdgeBoundKind(shape) =>
+      require(dir == shape.adjDir,
+        s"$name: an edge-bound index of shape $shape has direction ${shape.adjDir}, not $dir")
       require(view.nonEmpty && view.forall {
           case EdgePairPred(Role.Bound, _, _, Role.Adj, _, _) => true
           case _                                              => false

@@ -82,20 +82,19 @@ object MemoryModel {
   }
 
   /** Bytes of one index given the configuration's default indexes: a
-    * secondary index's offsets point into the default index of their
+    * secondary index's offsets point into the default index of its
     * direction, which decides their width and whether layers are shared. */
   def indexBytes(g: PropertyGraph, idx: APlusIndex, defaults: Seq[APlusIndex]): Long = {
-    def into(dir: Direction): APlusIndex = {
-      val d = defaults.find(_.defn.dir == dir)
-      require(d.isDefined, s"${idx.name}: no $dir default index for its offsets to point into")
+    lazy val dflt = {
+      val d = defaults.find(_.defn.dir == idx.defn.dir)
+      require(d.isDefined, s"${idx.name}: no ${idx.defn.dir} default index for its offsets to point into")
       d.get
     }
     idx.defn.kind match {
       case DefaultKind => defaultIndexBytes(g, idx)
       case VertexBoundKind =>
-        val dflt = into(idx.defn.dir)
         vertexBoundBytes(g, idx, dflt, idx.defn.view.isEmpty && dflt.defn.partKeys == idx.defn.partKeys)
-      case EdgeBoundKind(shape) => edgeBoundBytes(idx, into(if (shape.adjOutgoing) Fwd else Bwd))
+      case EdgeBoundKind(_) => edgeBoundBytes(idx, dflt)
     }
   }
 

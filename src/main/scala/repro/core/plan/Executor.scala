@@ -79,13 +79,11 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     tag += 1
     val ix  = a.index
     val qe  = a.qe
-    val cov = a.coverage(q).getOrElse(
-      sys.error(s"${q.name}: ${ix.name} cannot match ${qe.name}: the query does not imply its view"))
     // Literal filters on materialized key columns (the granular lists the
     // access reads); view predicates hold by construction.
     val frame = ix.tables.frame
-    val idf = cov.keyed.map(Coverage.keyColumn).reduceOption(_ && _).fold(frame)(frame.where)
-    pending --= cov.preds
+    val idf = a.coverage.keyed.map(Coverage.keyColumn).reduceOption(_ && _).fold(frame)(frame.where)
+    pending --= a.coverage.preds
 
     // Rename/select: bound key, the matched edge ID, the neighbour, and any
     // key columns carried for free into the partial match.

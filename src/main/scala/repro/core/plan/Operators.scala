@@ -1,32 +1,7 @@
 package repro.core.plan
 
-import repro.core.index.{APlusIndex, Coverage, Direction, Fwd, Bwd}
-import repro.core.query.{QEdge, QueryGraph}
-
-/** What an adjacency-list access is bound to (§2): a matched vertex variable
-  * (default / vertex-bound indexes) or a matched edge variable (edge-bound). */
-sealed trait Bound { def name: String }
-final case class VBound(v: String) extends Bound { def name: String = v }
-final case class EBound(edgeVar: String) extends Bound { def name: String = edgeVar }
-
-/** One adjacency-list access: match query edge `qe` through `index`. */
-final case class Access(qe: QEdge, index: APlusIndex, bound: Bound) {
-  /** Extension direction (meaningful for vertex-bound accesses). */
-  def dir: Direction = bound match {
-    case VBound(v) => if (qe.from == v) Fwd else Bwd
-    case EBound(_) =>
-      if (index.defn.kind.asInstanceOf[repro.core.index.EdgeBoundKind].shape.adjOutgoing) Fwd
-      else Bwd
-  }
-  /** The query vertex this access reaches (the neighbour side). */
-  def reaches: String = bound match {
-    case VBound(v) => if (qe.from == v) qe.to else qe.from
-    case EBound(_) => if (dir == Fwd) qe.to else qe.from
-  }
-  /** The predicates of `q` this access satisfies; None if `index` is unusable
-    * for `q`. */
-  def coverage(q: QueryGraph): Option[Coverage] = Coverage.of(index, q, qe, bound.name, reaches)
-}
+import repro.core.index.Access
+import repro.core.query.QueryGraph
 
 sealed trait PlanOp
 /** Scan the vertex table and bind variable `v` (with its local predicates). */

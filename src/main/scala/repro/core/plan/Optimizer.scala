@@ -81,8 +81,8 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
   /** Accesses of equal i-cost are told apart by the number of query
     * predicates they satisfy without a property-store lookup (the INDEX
     * STORE returns the most covering index). */
-  private def score(q: QueryGraph, a: Access): Double =
-    accessLen(a) * (1.0 - 1e-6 * a.coverage(q).fold(0)(_.size))
+  private def score(a: Access): Double =
+    accessLen(a) * (1.0 - 1e-6 * a.coverage.size)
 
   /** Full-selectivity cardinality multiplier of matching `qe` (primary
     * extension if `primary`, else a closing/intersected edge). */
@@ -104,13 +104,10 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
   /** Candidate accesses for matching `qe` whose endpoint `boundVar` ∈ S. */
   private def candidates(q: QueryGraph, qe: QEdge, boundVar: String,
                          s: Set[String]): Seq[Access] = {
-    val vb = store.vertexBoundCandidates(q, qe, boundVar).map(ix => Access(qe, ix, VBound(boundVar)))
     val me = matchedEdges(q, s)
-    val eb = q.edges
+    store.accesses(q, qe, boundVar) ++ q.edges
       .filter(e => me(e.name) && e.name != qe.name && (e.from == boundVar || e.to == boundVar))
-      .flatMap(e => store.edgeBoundCandidates(q, qe, e, boundVar)
-        .map(ix => Access(qe, ix, EBound(e.name))))
-    vb ++ eb
+      .flatMap(e => store.accesses(q, qe, boundVar, Some(e)))
   }
 
   /** Extra selectivity from vertex-equality predicates linking `newVs` to
@@ -140,12 +137,12 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
       val picks = conn.map { qe =>
         val boundVar = if (s(qe.from)) qe.from else qe.to
         val cands = candidates(q, qe, boundVar, s)
-        if (cands.isEmpty) None else Some(cands.minBy(score(q, _)))
+        if (cands.isEmpty) None else Some(cands.minBy(score))
       }
       if (picks.exists(_.isEmpty)) None
       else {
-        val accesses = picks.flatten.sortBy(score(q, _))
-        val iCost = sv.cost + sv.card * accesses.map(score(q, _)).sum
+        val accesses = picks.flatten.sortBy(score)
+        val iCost = sv.cost + sv.card * accesses.map(score).sum
         var mult = idSel(newV) * propSel(newV) * eqLinkSel(q, s, Seq(nv), None)
         accesses.zipWithIndex.foreach { case (a, i) =>
           mult *= edgeMult(q, a.qe, newV, a.dir, primary = i == 0, me)
@@ -184,13 +181,13 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
           val boundVar = if (s(qe.from)) qe.from else qe.to
           val cs = candidates(q, qe, boundVar, s).filter(_.index.coversNbr(p.prop))
           if (cs.isEmpty) None
-          else Some((v, cs.minBy(score(q, _))))
+          else Some((v, cs.minBy(score)))
         }
         if (units.exists(_.isEmpty)) None
         else {
           val us = units.flatten
           val iCost = sv.cost +
-            sv.card * us.map { case (_, a) => score(q, a) }.sum
+            sv.card * us.map { case (_, a) => score(a) }.sum
           var mult = eqLinkSel(q, s, sub, Some(p.prop)) *
             math.pow(cat.vPropSel(p.prop), sub.size - 1)
           val me = matchedEdges(q, s)

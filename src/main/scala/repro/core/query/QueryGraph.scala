@@ -159,10 +159,6 @@ final case class QueryGraph(
   def frontier(s: Set[String]): Seq[String] =
     vertices.map(_.name).filterNot(s).filter(v => connecting(v, s).nonEmpty)
 
-  /** Cross-edge predicates relating exactly the pair (a, b), in either order. */
-  def pairsBetween(a: String, b: String): Seq[EdgePairPred] =
-    edgePairs.filter(p => (p.e1 == a && p.e2 == b) || (p.e1 == b && p.e2 == a))
-
   def isConnected: Boolean = {
     if (vertices.size == 1) return true
     var seen = Set(vertices.head.name)

@@ -7,8 +7,8 @@ import repro.workloads.SubgraphQueries
 
 class BaselinesSpec extends SparkSpec {
 
-  private lazy val n4 = new BinaryJoinEvaluator(F.labelled, F.labelledCat)
-  private lazy val n4fin = new BinaryJoinEvaluator(F.financial, F.financialCat)
+  private lazy val n4 = new BinaryJoinEvaluator(F.labelled)
+  private lazy val n4fin = new BinaryJoinEvaluator(F.financial)
 
   // ---- Neo4j-like binary-join evaluator
 

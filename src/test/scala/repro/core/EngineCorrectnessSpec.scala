@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestFixtures => F}
 import repro.core.index._
+import repro.core.plan.{Executor, ExtendOp, Plan, ScanOp}
 import repro.core.query._
 import repro.workloads.{IndexConfigs, MagicRecs, MoneyFlow, SubgraphQueries}
 
@@ -75,6 +76,33 @@ class EngineCorrectnessSpec extends SparkSpec {
   }
   test("MF 2-edge path matches ground truth under D+EBmf") {
     check(F.finDEBplain, MoneyFlow.twoEdgePath(F.Alpha))
+  }
+
+  // ---- every edge-bound 2-path shape, through the INDEX STORE and the Executor
+
+  for (shape <- Seq(DstFwd, DstBwd, SrcFwd, SrcBwd)) {
+    test(s"$shape 2-path matches ground truth through its edge-bound index") {
+      // e1 and e2 share a2: e1's destination or source; e2 leaves it or enters it
+      val e1 = if (shape.sharedIsDst) QEdge("e1", "a1", "a2") else QEdge("e1", "a2", "a1")
+      val e2 = if (shape.adjDir == Fwd) QEdge("e2", "a2", "a3") else QEdge("e2", "a3", "a2")
+      val q = QueryGraph(s"path_$shape", Seq(QVertex("a1"), QVertex("a2"), QVertex("a3")),
+        Seq(e1, e2), edgePairs = Seq(EdgePairPred("e1", "date", Lt, "e2", "date")))
+      val eb = APlusIndex.build(F.financial, IndexDefn(s"EB_$shape", EdgeBoundKind(shape), shape.adjDir,
+        view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))))
+      val cfg = SystemConfig(s"D+EB_$shape", F.financial, F.financialCat,
+        new IndexStore(F.finD.store.indexes :+ eb))
+      try {
+        val viaEB = cfg.store.accesses(q, e2, "a2", Some(e1)).filter(_.index eq eb)
+        assert(viaEB.size == 1, s"$shape: the store does not offer ${eb.name}")
+        val plan = Plan(q, Vector(ScanOp("a1"),
+          ExtendOp("a2", Seq(cfg.store.accesses(q, e1, "a1").head)),
+          ExtendOp("a3", viaEB)), Double.NaN)
+        val expected = NaiveEvaluator.count(cfg.g, q)
+        assert(expected > 0)
+        assert(new Executor(cfg.g, q).execute(plan).count() == expected, plan.describe)
+        assert(cfg.count(q) == expected, cfg.plan(q).describe)
+      } finally eb.unpersist()
+    }
   }
 
   // ---- unconstrained + mixed shapes (plan-space stress)

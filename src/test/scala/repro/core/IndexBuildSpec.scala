@@ -70,12 +70,12 @@ class IndexBuildSpec extends SparkSpec {
     ix.unpersist()
   }
 
-  private def ebExpected(sharedIsDst: Boolean, adjOutgoing: Boolean): Long = {
+  private def ebExpected(sharedIsDst: Boolean, adjDir: Direction): Long = {
     val e = F.tiny.edges
     val b = e.select(col("eId").as("bid"),
       col(if (sharedIsDst) "dst" else "src").as("sh"), col("date").as("bdate"))
     val a = e.select(col("eId").as("aid"),
-      col(if (adjOutgoing) "src" else "dst").as("sh"), col("date").as("adate"))
+      col(if (adjDir == Fwd) "src" else "dst").as("sh"), col("date").as("adate"))
     b.join(a, "sh").where(col("bid") =!= col("aid"))
       .where(col("bdate") < col("adate")).count()
   }
@@ -83,9 +83,9 @@ class IndexBuildSpec extends SparkSpec {
   for ((shape, name) <- Seq(DstFwd -> "DstFwd", DstBwd -> "DstBwd",
                             SrcFwd -> "SrcFwd", SrcBwd -> "SrcBwd")) {
     test(s"edge-bound $name view equals the filtered 2-path self-join") {
-      val ix = APlusIndex.build(F.tiny, IndexDefn(name, EdgeBoundKind(shape), Fwd,
+      val ix = APlusIndex.build(F.tiny, IndexDefn(name, EdgeBoundKind(shape), shape.adjDir,
         view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date"))))
-      assert(ix.stats.entries == ebExpected(shape.sharedIsDst, shape.adjOutgoing))
+      assert(ix.stats.entries == ebExpected(shape.sharedIsDst, shape.adjDir))
       assert(ix.hasCol("boundE") && ix.hasCol("sharedV"))
       ix.unpersist()
     }
@@ -118,7 +118,6 @@ class IndexBuildSpec extends SparkSpec {
       partKeys = Seq(Key(AdjEdge, "eLabel"))))
     val expected = F.tiny.edges.select("src", "eLabel").distinct().count()
     assert(ix.stats.nLists == expected)
-    assert(ix.stats.avgListLen == ix.stats.entries.toDouble / expected)
     ix.unpersist()
   }
 
@@ -130,5 +129,10 @@ class IndexBuildSpec extends SparkSpec {
       IndexDefn("badD", DefaultKind, Fwd,
         view = Seq(EScalar(Role.Adj, EdgeScalarPred("amt", Gt, 1.0))))
     }
+    val misdirected = intercept[IllegalArgumentException] {
+      IndexDefn("misdirectedEB", EdgeBoundKind(DstBwd), Fwd, // DstBwd's adjacent edges are Bwd
+        view = Seq(EdgePairPred(Role.Bound, "date", Lt, Role.Adj, "date")))
+    }
+    assert(misdirected.getMessage.contains("misdirectedEB"))
   }
 }

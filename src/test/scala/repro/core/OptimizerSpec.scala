@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestFixtures => F}
+import repro.core.index.EBound
 import repro.core.plan._
 import repro.core.query._
 import repro.workloads.{MagicRecs, MoneyFlow, SubgraphQueries}
@@ -82,14 +83,15 @@ class OptimizerSpec extends SparkSpec {
     // plan space claim independent of cost-model tuning.
     val mf3 = MoneyFlow.queries(F.Alpha, 200).find(_.name == "MF3").get
     val cfg = F.finDVBcEBc
-    def ix(n: String) = cfg.store.indexes.find(_.name == n).get
+    def access(e: String, from: String, ix: String, via: Option[String] = None) =
+      cfg.store.accesses(mf3, mf3.edge(e), from, via.map(mf3.edge)).find(_.index.name == ix).get
     val figure5 = Plan(mf3, Vector(
       ScanOp("a3"),
-      ExtendOp("a1", Seq(Access(mf3.edge("e2"), ix("D_bwd"), VBound("a3")))),
+      ExtendOp("a1", Seq(access("e2", "a3", "D_bwd"))),
       MultiExtendOp("city", Seq(
-        "a2" -> Access(mf3.edge("e1"), ix("VBc_fwd"), VBound("a1")),
-        "a4" -> Access(mf3.edge("e4"), ix("VBc_fwd"), VBound("a1")),
-        "a5" -> Access(mf3.edge("e3"), ix("EB_c"), EBound("e2"))))), Double.NaN)
+        "a2" -> access("e1", "a1", "VBc_fwd"),
+        "a4" -> access("e4", "a1", "VBc_fwd"),
+        "a5" -> access("e3", "a3", "EB_c", via = Some("e2"))))), Double.NaN)
     val got = new Executor(cfg.g, mf3).execute(figure5)
     val expected = NaiveEvaluator.run(cfg.g, mf3)
     val key = (df: org.apache.spark.sql.DataFrame) => {

@@ -56,16 +56,6 @@ class QueryGraphSpec extends AnyFunSuite {
     assert(!q.isConnected)
   }
 
-  test("pairsBetween finds predicates in either order") {
-    val q = QueryGraph("p",
-      Seq(QVertex("a"), QVertex("b"), QVertex("c")),
-      Seq(QEdge("e1", "a", "b"), QEdge("e2", "b", "c")),
-      edgePairs = Seq(EdgePairPred("e1", "amt", Gt, "e2", "amt")))
-    assert(q.pairsBetween("e1", "e2").size == 1)
-    assert(q.pairsBetween("e2", "e1").size == 1)
-    assert(q.pairsBetween("e1", "e1").isEmpty)
-  }
-
   test("VertexEqPred requires at least two variables") {
     intercept[IllegalArgumentException] { VertexEqPred("city", Seq("a")) }
   }
