@@ -36,7 +36,7 @@ final class BinaryJoinEvaluator(g: PropertyGraph) {
     val ops = Vector.newBuilder[PlanOp]
     ops += ScanOp(start)
     while (s.size < q.vertices.size) {
-      val nv = q.vertices.map(_.name).filterNot(s).find(v => q.connecting(v, s).nonEmpty).get
+      val nv = q.frontier(s).head
       val accesses = q.connecting(nv, s).map { qe =>
         store.accesses(q, qe, if (s(qe.from)) qe.from else qe.to).head
       }

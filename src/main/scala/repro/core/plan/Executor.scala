@@ -48,9 +48,11 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
 
   def execute(plan: Plan): DataFrame = {
     plan.ops.foreach {
-      case ScanOp(v)            => scan(v)
-      case ExtendOp(v, as)      => extend(v, as)
-      case MultiExtendOp(p, us) => multiExtend(p, us)
+      case ScanOp(v) => scan(v)
+      case ExtendOp(_, as) =>
+        as.zipWithIndex.foreach { case (a, i) => join(a, primary = i == 0, None) }
+        settle()
+      case MultiExtendOp(p, as) => multiExtend(p, as)
     }
     settle()
     val missing = (q.vertices.map(_.name) ++ q.edges.map(_.name)).filterNot(matched)
@@ -72,13 +74,17 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
 
   // -------------------------------------------------------------- extend
 
-  /** Project/filter/rename one index for joining; returns (df, joinKeyCol,
-    * nbrCol or None if renamed to the new vertex). Drops the predicates the
-    * index satisfies from the pending set. */
-  private def prepIndex(a: Access, newV: String, primary: Boolean): (DataFrame, String, Option[String]) = {
+  /** Join the list `a` reads onto the partial match on its bound variable,
+    * and on `also` if given. A primary list binds the vertex `a` reaches and
+    * carries the neighbour's key columns in; any other list is probed on the
+    * pair (bound, reached vertex), an E/I's intersection. Key columns of the
+    * adjacent edge are carried in, and the predicates `a` satisfies leave
+    * the pending set. */
+  private def join(a: Access, primary: Boolean, also: Option[Column]): Unit = {
+    require(df != null, "plan must start with a ScanOp")
     tag += 1
-    val ix  = a.index
-    val qe  = a.qe
+    val ix = a.index
+    val v  = a.reaches
     // Literal filters on materialized key columns (the granular lists the
     // access reads); view predicates hold by construction.
     val frame = ix.tables.frame
@@ -88,49 +94,33 @@ final class Executor(g: PropertyGraph, q: QueryGraph) {
     // Rename/select: bound key, the matched edge ID, the neighbour, and any
     // key columns carried for free into the partial match.
     val bKey = s"__b$tag"
-    val nCol = if (primary) newV else s"__n$tag"
-    var sel = Seq(col(ix.boundCol).as(bKey), col("eId").as(qe.name), col("nbr").as(nCol))
-    ix.defn.adjProps.foreach { p =>
-      val out = s"${qe.name}__$p"
-      if (!avail(out)) { sel :+= col(s"adj_$p").as(out); avail += out }
+    val nCol = if (primary) v else s"__n$tag"
+    var sel = Seq(col(ix.boundCol).as(bKey), col("eId").as(a.qe.name), col("nbr").as(nCol))
+    def carry(prefix: String, props: Seq[String], owner: String): Unit = props.foreach { p =>
+      val out = s"${owner}__$p"
+      if (!avail(out)) { sel :+= col(s"${prefix}_$p").as(out); avail += out }
     }
-    if (primary) {
-      ix.defn.nbrProps.foreach { p =>
-        val out = s"${newV}__$p"
-        if (!avail(out)) { sel :+= col(s"nbr_$p").as(out); avail += out }
-      }
-    }
-    (idf.select(sel: _*), bKey, if (primary) None else Some(nCol))
+    carry("adj", ix.defn.adjProps, a.qe.name)
+    if (primary) carry("nbr", ix.defn.nbrProps, v)
+
+    val on = (Seq(col(a.bound.name) === col(bKey)) ++
+      Option.unless(primary)(col(v) === col(nCol)) ++ also).reduce(_ && _)
+    df = df.join(idf.select(sel: _*), on)
+    matched += a.qe.name
+    matched += v
   }
 
-  private def extend(newV: String, accesses: Seq[Access]): Unit = {
-    require(df != null, "plan must start with a ScanOp")
-    accesses.zipWithIndex.foreach { case (a, i) =>
-      val primary = i == 0
-      val (idf, bKey, nColOpt) = prepIndex(a, newV, primary)
-      val cond = col(a.bound.name) === col(bKey)
-      df = df.join(idf, nColOpt.fold(cond)(nc => cond && col(newV) === col(nc)))
-      matched += a.qe.name
-    }
-    matched += newV
-    settle()
-  }
-
-  private def multiExtend(prop: String, units: Seq[(String, Access)]): Unit = {
-    require(df != null, "plan must start with a ScanOp")
-    val v0 = units.head._1
-    units.foreach { case (v, a) =>
-      val (idf, bKey, _) = prepIndex(a, v, primary = true)
-      require(avail(s"${v}__$prop"),
+  private def multiExtend(prop: String, accesses: Seq[Access]): Unit = {
+    val v0 = accesses.head.reaches
+    accesses.foreach { a =>
+      require(a.index.coversNbr(prop),
         s"MULTI-EXTEND on $prop requires the index ${a.index.name} to materialize nbr_$prop")
-      val cond = col(a.bound.name) === col(bKey)
-      df = df.join(idf, if (v == v0) cond else cond && VertexEqPred(prop, Seq(v, v0)).column(ref, col))
-      matched += v; matched += a.qe.name
+      join(a, primary = true, Option.when(a.reaches != v0)(VertexEqPred(prop, Seq(a.reaches, v0)).column(ref, col)))
     }
 
     // The intersection equated the units' `prop`; record it in the matching
     // VertexEqPred's linkage so settle() doesn't re-filter.
-    val unitVars = units.map(_._1).toSet
+    val unitVars = accesses.map(_.reaches).toSet
     q.vertexEqs.filter(p => p.prop == prop && unitVars.subsetOf(p.vars.toSet)).foreach { p =>
       link(p, v0).foreach(c => df = df.where(c))
       eqLinked(p) ++= unitVars

@@ -13,19 +13,21 @@ final case class ExtendOp(newV: String, accesses: Seq[Access]) extends PlanOp {
   require(accesses.nonEmpty && accesses.forall(_.reaches == newV))
 }
 /** MULTI-EXTEND: intersect z ≥ 2 lists sorted on a non-ID property `prop`
-  * and extend by one new query vertex per list at once (§4.1). */
-final case class MultiExtendOp(prop: String, units: Seq[(String, Access)]) extends PlanOp {
-  require(units.size >= 2 && units.forall { case (v, a) => a.reaches == v })
+  * and extend by one new query vertex per list at once, the vertex each
+  * access reaches (§4.1). */
+final case class MultiExtendOp(prop: String, accesses: Seq[Access]) extends PlanOp {
+  require(accesses.size >= 2)
 }
 
 /** A physical plan: operator sequence over a query, produced by the DP
   * optimizer and compiled to a DataFrame by the Executor. */
 final case class Plan(q: QueryGraph, ops: Seq[PlanOp], estCost: Double) {
-  def describe: String = ops.map {
-    case ScanOp(v) => s"SCAN($v)"
-    case ExtendOp(v, as) =>
-      s"E/I($v via ${as.map(a => s"${a.qe.name}:${a.index.name}@${a.bound}").mkString(", ")})"
-    case MultiExtendOp(p, us) =>
-      s"MULTI-EXTEND[$p](${us.map { case (v, a) => s"$v via ${a.qe.name}:${a.index.name}@${a.bound}" }.mkString("; ")})"
-  }.mkString(" -> ")
+  def describe: String = {
+    def read(a: Access) = s"${a.qe.name}:${a.index.name}@${a.bound}"
+    ops.map {
+      case ScanOp(v)            => s"SCAN($v)"
+      case ExtendOp(v, as)      => s"E/I($v via ${as.map(read).mkString(", ")})"
+      case MultiExtendOp(p, as) => s"MULTI-EXTEND[$p](${as.map(a => s"${a.reaches} via ${read(a)}").mkString("; ")})"
+    }.mkString(" -> ")
+  }
 }

@@ -34,8 +34,9 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
 
     for (k <- 1 until q.vertices.size) {
       best.filter(_._1.size == k).foreach { case (s, sv) =>
-        extendTransitions(q, s, sv).foreach { case (s2, v2) => offer(s2, v2) }
-        multiExtendTransitions(q, s, sv).foreach { case (s2, v2) => offer(s2, v2) }
+        val me = matchedEdges(q, s)
+        (extendTransitions(q, s, sv, me) ++ multiExtendTransitions(q, s, sv, me))
+          .foreach { case (s2, v2) => offer(s2, v2) }
       }
     }
 
@@ -101,13 +102,15 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
   private def matchedEdges(q: QueryGraph, s: Set[String]): Set[String] =
     q.edges.filter(e => s(e.from) && s(e.to)).map(_.name).toSet
 
-  /** Candidate accesses for matching `qe` whose endpoint `boundVar` ∈ S. */
-  private def candidates(q: QueryGraph, qe: QEdge, boundVar: String,
-                         s: Set[String]): Seq[Access] = {
-    val me = matchedEdges(q, s)
-    store.accesses(q, qe, boundVar) ++ q.edges
-      .filter(e => me(e.name) && e.name != qe.name && (e.from == boundVar || e.to == boundVar))
-      .flatMap(e => store.accesses(q, qe, boundVar, Some(e)))
+  /** The cheapest usable access kept by `keep` that matches `qe` from its
+    * endpoint in `s`: through a vertex-bound list of that endpoint, or an
+    * edge-bound list of a matched edge `me` incident to it. */
+  private def pick(q: QueryGraph, qe: QEdge, s: Set[String], me: Set[String],
+                   keep: Access => Boolean = _ => true): Option[Access] = {
+    val from = if (s(qe.from)) qe.from else qe.to
+    (store.accesses(q, qe, from) ++
+      q.edgesOf(from).filter(e => me(e.name)).flatMap(e => store.accesses(q, qe, from, Some(e))))
+      .filter(keep).minByOption(score)
   }
 
   /** Extra selectivity from vertex-equality predicates linking `newVs` to
@@ -122,84 +125,53 @@ final class Optimizer(store: IndexStore, cat: Catalogue) {
         val links =
           if (equatedWithin.contains(p.prop)) (if (already > 0) 1 else 0) // intersection did the rest
           else added - (if (already > 0) 0 else 1)
-        math.pow(cat.vPropSel(p.prop), math.max(0, links))
+        math.pow(cat.vPropSel(p.prop), links)
       }
     }.product
 
   // -------------------------------------------------------- transitions
 
-  private def extendTransitions(q: QueryGraph, s: Set[String],
-                                sv: StateVal): Seq[(Set[String], StateVal)] = {
-    val me = matchedEdges(q, s)
+  /** The state reached from `sv` by `op`, which reads `accesses` once per
+    * partial match and multiplies the cardinality by `mult`. */
+  private def step(sv: StateVal, s2: Set[String], accesses: Seq[Access], mult: Double,
+                   op: PlanOp): (Set[String], StateVal) =
+    (s2, StateVal(sv.cost + sv.card * accesses.map(score).sum, math.max(sv.card * mult, 1e-6), sv.ops :+ op))
+
+  /** E/I: extend by one frontier vertex, intersecting a list per connecting
+    * edge; the cheapest list is the primary one. */
+  private def extendTransitions(q: QueryGraph, s: Set[String], sv: StateVal,
+                                me: Set[String]): Seq[(Set[String], StateVal)] =
     q.frontier(s).flatMap { nv =>
-      val newV = q.vertex(nv)
-      val conn = q.connecting(nv, s)
-      val picks = conn.map { qe =>
-        val boundVar = if (s(qe.from)) qe.from else qe.to
-        val cands = candidates(q, qe, boundVar, s)
-        if (cands.isEmpty) None else Some(cands.minBy(score))
-      }
-      if (picks.exists(_.isEmpty)) None
-      else {
-        val accesses = picks.flatten.sortBy(score)
-        val iCost = sv.cost + sv.card * accesses.map(score).sum
-        var mult = idSel(newV) * propSel(newV) * eqLinkSel(q, s, Seq(nv), None)
-        accesses.zipWithIndex.foreach { case (a, i) =>
-          mult *= edgeMult(q, a.qe, newV, a.dir, primary = i == 0, me)
+      val picks = q.connecting(nv, s).map(pick(q, _, s, me))
+      Option.when(picks.forall(_.isDefined))(picks.flatten.sortBy(score)).map { as =>
+        val newV = q.vertex(nv)
+        val mult = as.zipWithIndex.foldLeft(idSel(newV) * propSel(newV) * eqLinkSel(q, s, Seq(nv), None)) {
+          case (m, (a, i)) => m * edgeMult(q, a.qe, newV, a.dir, primary = i == 0, me)
         }
-        // the primary listLen already includes newV's label share when the
-        // catalogue can condition on it; otherwise apply the label fraction
-        newV.label.foreach { l =>
-          // listLen(dir, l, Some(nl)) already embeds the label fraction; the
-          // unconditioned estimate needs it explicitly
-          val a0 = accesses.head
-          val conditioned = cat.listLen(a0.dir, a0.qe.label, newV.label)
-          val unconditioned = cat.listLen(a0.dir, a0.qe.label, None)
-          if (conditioned == 0.0 && unconditioned > 0.0)
-            mult *= cat.sel(VLabel(nv, l))
-        }
-        Some((s + nv, StateVal(iCost, math.max(sv.card * mult, 1e-6), sv.ops :+ ExtendOp(nv, accesses))))
+        step(sv, s + nv, as, mult, ExtendOp(nv, as))
       }
     }
-  }
 
-  private def multiExtendTransitions(q: QueryGraph, s: Set[String],
-                                     sv: StateVal): Seq[(Set[String], StateVal)] = {
+  /** MULTI-EXTEND: extend by z ≥ 2 vertices of one property equality at
+    * once, each through one list that carries the property. */
+  private def multiExtendTransitions(q: QueryGraph, s: Set[String], sv: StateVal,
+                                     me: Set[String]): Seq[(Set[String], StateVal)] =
     q.vertexEqs.flatMap { p =>
-      val cands = p.vars.filterNot(s).filter { v =>
-        q.connecting(v, s).size == 1 && q.edgesOf(v).count(e => s(e.from) || s(e.to)) >= 1
-      }
-      // enumerate subsets of size >= 2 with no query edges among members
-      val subsets = (2 to cands.size).flatMap(cands.combinations).filter { sub =>
-        sub.combinations(2).forall { case Seq(a, b) =>
-          !q.edges.exists(e => (e.from == a && e.to == b) || (e.from == b && e.to == a))
-        }
+      val cands = p.vars.filterNot(s).filter(q.connecting(_, s).size == 1)
+      // subsets of size >= 2 with no query edges among members
+      val subsets = (2 to cands.size).flatMap(cands.combinations).filter {
+        _.combinations(2).forall { case Seq(a, b) => q.connecting(a, Set(b)).isEmpty }
       }
       subsets.flatMap { sub =>
-        val units = sub.map { v =>
-          val qe = q.connecting(v, s).head
-          val boundVar = if (s(qe.from)) qe.from else qe.to
-          val cs = candidates(q, qe, boundVar, s).filter(_.index.coversNbr(p.prop))
-          if (cs.isEmpty) None
-          else Some((v, cs.minBy(score)))
-        }
-        if (units.exists(_.isEmpty)) None
-        else {
-          val us = units.flatten
-          val iCost = sv.cost +
-            sv.card * us.map { case (_, a) => score(a) }.sum
-          var mult = eqLinkSel(q, s, sub, Some(p.prop)) *
-            math.pow(cat.vPropSel(p.prop), sub.size - 1)
-          val me = matchedEdges(q, s)
-          us.foreach { case (v, a) =>
-            val newV = q.vertex(v)
-            mult *= edgeMult(q, a.qe, newV, a.dir, primary = true, me) *
-              idSel(newV) * propSel(newV)
+        val picks = sub.map(v => pick(q, q.connecting(v, s).head, s, me, _.index.coversNbr(p.prop)))
+        Option.when(picks.forall(_.isDefined))(picks.flatten).map { as =>
+          val within = eqLinkSel(q, s, sub, Some(p.prop)) * math.pow(cat.vPropSel(p.prop), sub.size - 1)
+          val mult = as.foldLeft(within) { (m, a) =>
+            val newV = q.vertex(a.reaches)
+            m * (edgeMult(q, a.qe, newV, a.dir, primary = true, me) * idSel(newV) * propSel(newV))
           }
-          Some((s ++ sub,
-            StateVal(iCost, math.max(sv.card * mult, 1e-6), sv.ops :+ MultiExtendOp(p.prop, us))))
+          step(sv, s ++ sub, as, mult, MultiExtendOp(p.prop, as))
         }
       }
     }
-  }
 }

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import repro.{SparkSpec, TestFixtures => F}
 import repro.core.index._
-import repro.core.plan.{Executor, ExtendOp, Plan, ScanOp}
+import repro.core.plan.{Executor, ExtendOp, MultiExtendOp, Plan, ScanOp}
 import repro.core.query._
 import repro.workloads.{IndexConfigs, MagicRecs, MoneyFlow, SubgraphQueries}
 
@@ -18,13 +18,15 @@ class EngineCorrectnessSpec extends SparkSpec {
       .map(r => (0 until r.length).map(r.getLong)).toSet
   }
 
-  private def check(cfg: SystemConfig, q: QueryGraph): Unit = {
+  /** Asserts the engine's rows equal the ground truth's; their number. */
+  private def check(cfg: SystemConfig, q: QueryGraph): Int = {
     val expected = rows(NaiveEvaluator.run(cfg.g, q))
     val got      = rows(cfg.run(q))
     assert(got == expected,
       s"${q.name} under ${cfg.name}: got ${got.size} rows, expected ${expected.size}\n" +
       s"plan: ${cfg.plan(q).describe}\n" +
       s"only-engine: ${(got -- expected).take(3)}\nonly-naive: ${(expected -- got).take(3)}")
+    expected.size
   }
 
   // ---- labelled subgraph queries under the three Table-3 configurations
@@ -50,6 +52,18 @@ class EngineCorrectnessSpec extends SparkSpec {
     } finally cfg.unpersist()
   }
 
+  // ---- multiway intersections on non-empty results: on `labelled`, SQ8 and
+  // SQ11 have 0 rows, so their 3- and 4-list E/Is are checked here
+
+  for ((name, z) <- Seq("SQ8" -> 3, "SQ11" -> 4)) {
+    test(s"unlabelled $name under D intersects $z lists and matches a non-empty ground truth") {
+      val q = SubgraphQueries.byName(1, 1, name)
+      val p = F.finD.plan(q)
+      assert(p.ops.exists { case ExtendOp(_, as) => as.size == z; case _ => false }, p.describe)
+      assert(check(F.finD, q) > 0, p.describe)
+    }
+  }
+
   // ---- MagicRecs under D and D+VBt
 
   private val mrs = MagicRecs.queries(timeThreshold = 800, a1Limit = Some(150L))
@@ -67,6 +81,37 @@ class EngineCorrectnessSpec extends SparkSpec {
     test(s"${q.name} matches ground truth under D")          { check(F.finD, q) }
     test(s"${q.name} matches ground truth under D+VBc")      { check(F.finDVBc, q) }
     test(s"${q.name} matches ground truth under D+VBc+EBc")  { check(F.finDVBcEBc, q) }
+  }
+
+  // ---- edge-bound chains on non-empty results: at the fixtures' α MF5, whose
+  // plan chains three EB_c reads, has 0 rows under every configuration; at
+  // Table 5's α no MF query is empty
+
+  private lazy val finEBcAtTable5Alpha = SystemConfig.build("D+VBc+EBc", F.financial,
+    IndexConfigs.D ++ IndexConfigs.VBc :+ IndexConfigs.EBc(MoneyFlow.Alpha), F.financialCat)
+
+  private val mfsAtTable5Alpha = MoneyFlow.queries(MoneyFlow.Alpha, nV = 200, idLtFrac = MoneyFlow.IdLtFrac)
+
+  private def ebcReads(p: Plan): Int = p.ops.map {
+    case ExtendOp(_, as)      => as.count(_.index.name == "EB_c")
+    case MultiExtendOp(_, as) => as.count(_.index.name == "EB_c")
+    case ScanOp(_)            => 0
+  }.sum
+
+  for (q <- mfsAtTable5Alpha) {
+    test(s"${q.name} at α = ${MoneyFlow.Alpha} matches a non-empty ground truth under D+VBc+EBc") {
+      assert(check(finEBcAtTable5Alpha, q) > 0, finEBcAtTable5Alpha.plan(q).describe)
+    }
+  }
+
+  test(s"MF5 at α = ${MoneyFlow.Alpha} under D+VBc+EBc reads EB_c three times") {
+    val p = finEBcAtTable5Alpha.plan(mfsAtTable5Alpha.find(_.name == "MF5").get)
+    assert(ebcReads(p) == 3, p.describe)
+  }
+
+  test(s"MF4 at α = ${MoneyFlow.Alpha} under D+VBc+EBc has a MULTI-EXTEND and reads EB_c twice") {
+    val p = finEBcAtTable5Alpha.plan(mfsAtTable5Alpha.find(_.name == "MF4").get)
+    assert(p.ops.exists(_.isInstanceOf[MultiExtendOp]) && ebcReads(p) == 2, p.describe)
   }
 
   // ---- Table 6 two-edge money-flow path under D and D+EB
