@@ -16,8 +16,8 @@ import repro.bench._
 object Jobs {
 
   /** 16 shuffle partitions (adaptive execution coalesces further) and no
-    * size-based broadcast: the Executor's joins are planned as probes of
-    * lookup tables built once per index. Spark logs only warnings and
+    * size-based broadcast: the index builder's joins are planned as probes
+    * of lookup tables built once per index. Spark logs only warnings and
     * errors, so the tables are not lost in its INFO lines. */
   def session(name: String): SparkSession = {
     val s = SparkSession.builder

@@ -5,7 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, PlanFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, PlanFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.analysis.MultiInstanceRelation
 import org.apache.spark.sql.catalyst.expressions._
@@ -17,21 +17,26 @@ import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, LeafNode, Logical
 import org.apache.spark.sql.catalyst.plans.physical.{BroadcastMode, BroadcastPartitioning, Partitioning}
 import org.apache.spark.sql.execution.{LeafExecNode, LocalTableScanExec, SparkPlan, SparkStrategy, UnaryExecNode}
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, HashJoin, HashedRelationBroadcastMode}
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
 
 /** The entries of an A+ index or a cached graph table, held on the driver,
-  * and the broadcast hash tables the Executor's joins probe: an index is
-  * built once, and an access reaches its list in constant time (§3, §4.2).
+  * and the broadcast tables built over them: an index is built once, and an
+  * access reaches its list in constant time (§3, §4.2).
   *
-  * A table serves one access shape: the entries its filters select,
-  * projected onto the columns it reads and hashed on its join keys. It is
-  * built on the driver from the entries on first use, without a Spark job,
-  * broadcast once, and probed by every later query of that shape until
-  * `destroy()`. A query's `count()` over these tables is one Spark job of
-  * one stage, with no shuffle ([[CountExec]]).
+  * The Executor's [[MatchExec]] reads [[Lists]]: the entries one access
+  * shape selects (its key-column filters), grouped by a key column. A join
+  * of a frame with a lookup leaf on its right (the ground truth, the index
+  * builder) probes a hash table: the entries its filters select, projected
+  * onto the columns it reads and hashed on its join keys. Either is built on
+  * the driver from the entries on first use, without a Spark job, broadcast
+  * once, and read by every later query of that shape until `destroy()`. A
+  * query's `count()` over these tables is one Spark job of one stage, with
+  * no shuffle ([[CountExec]]).
   */
 final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
                                   private val entries: Seq[InternalRow]) {
   private val tables = mutable.Map[LookupTables.Shape, Broadcast[Any]]()
+  private val byList = mutable.Map[(String, Option[String], Seq[Column]), Broadcast[Lists]]()
 
   def size: Long = entries.length
 
@@ -56,13 +61,33 @@ final class LookupTables private (spark: SparkSession, attrs: Seq[Attribute],
     PlanFrame(spark, LookupLeaf(this, attrs.map(_.newInstance())))
   }
 
+  /** The type of the column `column`. */
+  def dataType(column: String): DataType = attrs.find(_.name == column).get.dataType
+
   /** Tables built and not yet destroyed. */
-  def live: Int = synchronized(tables.size)
+  def live: Int = synchronized(tables.size + byList.size)
 
   def destroy(): Unit = synchronized {
     tables.values.foreach(_.destroy())
+    byList.values.foreach(_.destroy())
     tables.clear()
+    byList.clear()
   }
+
+  /** The entries that pass `filters`, grouped by the column `key`, each
+    * group sorted by the column `sortBy` if given: for an index keyed by its
+    * bound column, its granular lists (§3). Built on first use, broadcast
+    * once per shape. */
+  private[core] def lists(key: String, sortBy: Option[String], filters: Seq[Column]): Broadcast[Lists] =
+    synchronized {
+      byList.getOrElseUpdate((key, sortBy, filters), {
+        val keep = filters.reduceOption(_ && _).map(c => Predicate.createInterpreted(
+          BindReferences.bindReference(PlanFrame.resolve(spark, Seq(c), LookupLeaf(this, attrs)).head, attrs)))
+        val kept = entries.indices.filter(i => keep.forall(_.eval(entries(i)))).toArray
+        spark.sparkContext.broadcast(Lists(attrs, entries, kept, attrs.indexWhere(_.name == key),
+          sortBy.map(c => attrs.indexWhere(_.name == c))))
+      })
+    }
 
   private[core] def table(s: LookupTables.Shape): Broadcast[Any] = synchronized {
     tables.getOrElseUpdate(s, {
@@ -94,23 +119,25 @@ object LookupTables {
   private[core] final case class Shape(filters: Seq[Expression], columns: Seq[Expression],
                                        mode: HashedRelationBroadcastMode)
 
-  private def register(spark: SparkSession): Unit = {
+  private[core] def register(spark: SparkSession): Unit = {
     val ex = spark.experimental
     ex.synchronized { if (!ex.extraStrategies.contains(Probe)) ex.extraStrategies :+= Probe }
   }
 
-  /** Plans an inner equi-join whose right side is a lookup leaf as a hash
-    * join that probes the leaf's table. What Catalyst pushed below the join
-    * (inferred `isnotnull`, filters on the leaf's columns, column pruning)
-    * becomes part of the table's shape: a filter between a broadcast hash
-    * join and its build side could not be broadcast. Plans the aggregate
-    * `Dataset.count()` builds over a plan that reads a lookup leaf as a
+  /** Plans a query's match leaf as a [[MatchExec]]. Plans an inner
+    * equi-join whose right side is a lookup leaf as a hash join that probes
+    * the leaf's table. What Catalyst pushed below the join (inferred
+    * `isnotnull`, filters on the leaf's columns, column pruning) becomes part
+    * of the table's shape: a filter between a broadcast hash join and its
+    * build side could not be broadcast. Plans the aggregate `Dataset.count()`
+    * builds over a plan that reads a lookup or match leaf as a
     * [[CountExec]]; every other aggregate keeps Spark's plan. */
   private object Probe extends SparkStrategy {
     def apply(plan: LogicalPlan): Seq[SparkPlan] = plan match {
       case Aggregate(Nil, Seq(Alias(AggregateExpression(Count(Seq(Literal(1, _))), Complete, false, None, _), _)),
-                     child, _) if child.exists(_.isInstanceOf[LookupLeaf]) =>
+                     child, _) if child.exists(l => l.isInstanceOf[LookupLeaf] || l.isInstanceOf[MatchLeaf]) =>
         Seq(CountExec(plan.output, planLater(child)))
+      case m: MatchLeaf => Seq(MatchExec(m.output, m.program))
       case ExtractEquiJoinKeys(Inner, lKeys, rKeys, other, _, left,
                                PhysicalOperation(projects, filters, leaf: LookupLeaf), _) =>
         val out = projects.map(_.toAttribute)
@@ -174,5 +201,104 @@ private object CountExec {
     var n = 0L
     while (rows.hasNext) { rows.next(); n += 1 }
     n
+  }
+}
+
+/** Entries grouped by a key column, held as columns. The entries of the
+  * group `g` are the positions `begin(g) until end(g)`. When the keys are
+  * dense (every ID of a graph, for example), the group of key `id` is
+  * `id - lo` and absent keys have empty groups; otherwise it is found by
+  * binary search in the sorted distinct `keys`. */
+private[core] final class Lists private (lo: Long, keys: Array[Long], starts: Array[Int],
+                                         val columns: Array[Lists.Vec]) extends Serializable {
+  def size: Int = starts(starts.length - 1)
+
+  /** The group of key `id`, or -1 if it has no entries. */
+  def group(id: Long): Int =
+    if (keys == null) { val g = id - lo; if (g >= 0 && g < starts.length - 1) g.toInt else -1 }
+    else math.max(-1, java.util.Arrays.binarySearch(keys, id))
+
+  def begin(g: Int): Int = starts(g)
+  def end(g: Int): Int   = starts(g + 1)
+
+  /** The values of the long column `c`. */
+  def longs(c: Int): Array[Long] = columns(c).asInstanceOf[Lists.Longs].a
+}
+
+private[core] object Lists {
+
+  /** One column of a [[Lists]]: it writes its value at a position into a
+    * slot of a row, or compares the two. */
+  sealed abstract class Vec extends Serializable {
+    def set(i: Int, row: InternalRow, slot: Int): Unit
+    def same(i: Int, row: InternalRow, slot: Int): Boolean
+  }
+  final class Longs(val a: Array[Long]) extends Vec {
+    def set(i: Int, row: InternalRow, slot: Int): Unit = row.setLong(slot, a(i))
+    def same(i: Int, row: InternalRow, slot: Int): Boolean = row.getLong(slot) == a(i)
+  }
+  final class Ints(a: Array[Int]) extends Vec {
+    def set(i: Int, row: InternalRow, slot: Int): Unit = row.setInt(slot, a(i))
+    def same(i: Int, row: InternalRow, slot: Int): Boolean = row.getInt(slot) == a(i)
+  }
+  final class Doubles(a: Array[Double]) extends Vec {
+    def set(i: Int, row: InternalRow, slot: Int): Unit = row.setDouble(slot, a(i))
+    def same(i: Int, row: InternalRow, slot: Int): Boolean = row.getDouble(slot) == a(i)
+  }
+
+  /** The entries at positions `kept` of `entries` (columns `attrs`), grouped
+    * by the long column `key`, each group sorted by the long column `sortBy`
+    * if given, ties in entry order. */
+  def apply(attrs: Seq[Attribute], entries: Seq[InternalRow], kept: Array[Int], key: Int,
+            sortBy: Option[Int]): Lists = {
+    val k = kept.map(entries(_).getLong(key))
+    val s = sortBy.map(c => kept.map(entries(_).getLong(c))).orNull
+    val order = mergeSort(kept.length, (a, b) => k(a) < k(b) || (k(a) == k(b) && s != null && s(a) < s(b)))
+    val rows = order.map(i => entries(kept(i)))
+    val columns = attrs.indices.map { c =>
+      attrs(c).dataType match {
+        case LongType    => new Longs(rows.map(_.getLong(c)))
+        case IntegerType => new Ints(rows.map(_.getInt(c)))
+        case DoubleType  => new Doubles(rows.map(_.getDouble(c)))
+        case t           => throw new UnsupportedOperationException(s"column ${attrs(c).name} of type $t")
+      }
+    }.toArray
+    val sorted = order.map(k)
+    val n = sorted.length
+    if (n == 0) new Lists(0L, null, Array(0), columns)
+    else if (sorted(n - 1) - sorted(0) <= 2L * n + 64) {
+      val lo = sorted(0)
+      val starts = new Array[Int]((sorted(n - 1) - lo + 2).toInt)
+      sorted.foreach(id => starts((id - lo + 1).toInt) += 1)
+      for (g <- 1 until starts.length) starts(g) += starts(g - 1)
+      new Lists(lo, null, starts, columns)
+    } else {
+      val firsts = (0 until n).filter(i => i == 0 || sorted(i) != sorted(i - 1)).toArray
+      new Lists(0L, firsts.map(sorted), firsts :+ n, columns)
+    }
+  }
+
+  /** The positions `0 until n`, stably sorted by `lt`. */
+  private def mergeSort(n: Int, lt: (Int, Int) => Boolean): Array[Int] = {
+    var a = Array.range(0, n)
+    var b = new Array[Int](n)
+    var w = 1
+    while (w < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + w, n)
+        val hi  = math.min(lo + 2 * w, n)
+        var i = lo
+        var j = mid
+        for (o <- lo until hi) {
+          if (j >= hi || (i < mid && !lt(a(j), a(i)))) { b(o) = a(i); i += 1 }
+          else { b(o) = a(j); j += 1 }
+        }
+        lo = hi
+      }
+      val t = a; a = b; b = t
+      w *= 2
+    }
+    a
   }
 }

@@ -24,11 +24,11 @@ object Schema {
   * ``vertexStore`` / ``edgeStore`` hold every vertex and edge with all its
   * columns on the driver; a cached graph's ``vertices`` / ``edges`` are
   * frames over them, so the graph is held once. They are also the *property
-  * store*: the engine joins against them whenever a predicate touches a
-  * property that the chosen A+ index does not materialize — the dataflow
-  * analogue of GraphflowDB reading a property page per matched edge ("read
-  * the property and run a predicate"). Each read probes a hash table built
-  * from the entries once ([[LookupTables]]).
+  * store*: a query reads them by ID whenever a predicate touches a
+  * property that the chosen A+ index does not materialize — the analogue
+  * of GraphflowDB reading a property page per matched edge ("read the
+  * property and run a predicate"). Each read probes a list table built from
+  * the entries once ([[LookupTables]]).
   */
 final case class PropertyGraph(vertices: DataFrame, edges: DataFrame) {
 

@@ -18,9 +18,8 @@ final case class IndexStats(entries: Long, nLists: Long)
   *
   * The entries are held once, on the driver (``tables``), in no particular
   * order: an access's literal filters on partition and sort keys select its
-  * granular list there, the Executor probes a hash table built from that
-  * list once ([[LookupTables]]), and the memory model counts its bytes over
-  * them.
+  * granular lists there, a query probes a list table built from them once
+  * ([[LookupTables]]), and the memory model counts its bytes over them.
   */
 final case class APlusIndex(defn: IndexDefn, tables: LookupTables, stats: IndexStats) {
   def name: String = defn.name

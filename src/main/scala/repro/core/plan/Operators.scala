@@ -3,7 +3,16 @@ package repro.core.plan
 import repro.core.index.Access
 import repro.core.query.QueryGraph
 
-sealed trait PlanOp
+sealed trait PlanOp {
+  def describe: String = {
+    def read(a: Access) = s"${a.qe.name}:${a.index.name}@${a.bound}"
+    this match {
+      case ScanOp(v)            => s"SCAN($v)"
+      case ExtendOp(v, as)      => s"E/I($v via ${as.map(read).mkString(", ")})"
+      case MultiExtendOp(p, as) => s"MULTI-EXTEND[$p](${as.map(a => s"${a.reaches} via ${read(a)}").mkString("; ")})"
+    }
+  }
+}
 /** Scan the vertex table and bind variable `v` (with its local predicates). */
 final case class ScanOp(v: String) extends PlanOp
 /** EXTEND/INTERSECT: extend partial matches by `newV`, matching every query
@@ -20,14 +29,7 @@ final case class MultiExtendOp(prop: String, accesses: Seq[Access]) extends Plan
 }
 
 /** A physical plan: operator sequence over a query, produced by the DP
-  * optimizer and compiled to a DataFrame by the Executor. */
+  * optimizer and compiled by the Executor into one match program. */
 final case class Plan(q: QueryGraph, ops: Seq[PlanOp], estCost: Double) {
-  def describe: String = {
-    def read(a: Access) = s"${a.qe.name}:${a.index.name}@${a.bound}"
-    ops.map {
-      case ScanOp(v)            => s"SCAN($v)"
-      case ExtendOp(v, as)      => s"E/I($v via ${as.map(read).mkString(", ")})"
-      case MultiExtendOp(p, as) => s"MULTI-EXTEND[$p](${as.map(a => s"${a.reaches} via ${read(a)}").mkString("; ")})"
-    }.mkString(" -> ")
-  }
+  def describe: String = ops.map(_.describe).mkString(" -> ")
 }

@@ -9,10 +9,11 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Catalyst's size-based broadcast choice is off, as in the bench
-  * runners and jobs: the Executor's joins are planned as probes of the index
-  * and property-store lookup tables by the strategy `LookupTables` registers
-  * on first use, so plans do not depend on size estimates. Adaptive
-  * execution stays on (Spark's default), as in the jobs.
+  * runners and jobs: joins with a lookup leaf on the right (the index
+  * builder, the ground truth) are planned as probes of lookup tables by the
+  * strategy `LookupTables` registers on first use, so plans do not depend on
+  * size estimates. Adaptive execution stays on (Spark's default), as in the
+  * jobs.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -1,8 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.catalyst.optimizer.BuildRight
-import org.apache.spark.sql.catalyst.plans.logical.Join
-import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec, SortMergeJoinExec}
+import org.apache.spark.sql.execution.{SortExec, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.Exchange
+import org.apache.spark.sql.execution.joins.BaseJoinExec
 import repro.{SparkSpec, TestFixtures => F}
 import repro.core.index._
 import repro.core.plan._
@@ -10,8 +11,9 @@ import repro.core.query._
 import repro.workloads.{MagicRecs, MoneyFlow, SubgraphQueries}
 
 /** What an access path satisfies of a query's predicates ([[Coverage]]), and
-  * the guard that this coverage reaches the executed plan: a lost key-column
-  * or view coverage keeps the rows right but adds a property-store join. */
+  * the guard that this coverage reaches the compiled program: a lost
+  * key-column or view coverage keeps the rows right but adds a property-store
+  * read. */
 class CoverageSpec extends SparkSpec {
 
   // a -e-> b with a predicate of every single-variable kind an index can cover
@@ -92,11 +94,15 @@ class CoverageSpec extends SparkSpec {
     case ScanOp(_)            => 0
   }.sum
 
+  /** The program `q` compiles to under `cfg` has one list probe per list
+    * access of its plan and `propertyStoreJoins` property-store reads. */
   private def assertJoins(cfg: SystemConfig, q: QueryGraph, propertyStoreJoins: Int): Unit = {
     val p = cfg.plan(q)
-    val joins = new Executor(cfg.g, q).execute(p)
-      .queryExecution.optimizedPlan.collect { case j: Join => j }.size
-    assert(joins == accesses(p) + propertyStoreJoins, s"${q.name} under ${cfg.name}: ${p.describe}")
+    val loops = new Executor(cfg.g, q).execute(p).queryExecution.analyzed
+      .collectFirst { case m: MatchLeaf => m.program.loops }.get
+    val probes = loops.count(_.source.isInstanceOf[ListProbe])
+    val reads  = loops.count(_.source.isInstanceOf[PropertyRead])
+    assert((probes, reads) == ((accesses(p), propertyStoreJoins)), s"${q.name} under ${cfg.name}: ${p.describe}")
   }
 
   private val sqs = SubgraphQueries.forLabels(nVLabels = 3, nELabels = 2)
@@ -120,32 +126,33 @@ class CoverageSpec extends SparkSpec {
       assertJoins(F.finDVBt, q, 0)
   }
 
-  // ---- physical join shape
+  // ---- physical plan shape
 
-  /** Every logical join of the executed query is a hash probe into a
-    * broadcast build side on the right: the lookup table of the index or
-    * property store, which the Executor's joins are planned onto without a
-    * hint. */
-  private def assertBroadcastProbes(cfg: SystemConfig, q: QueryGraph): Unit = {
-    val qe = cfg.run(q).queryExecution
-    val what = s"${q.name} under ${cfg.name}:\n${qe.sparkPlan}"
-    assert(qe.sparkPlan.collect { case j: SortMergeJoinExec => j }.isEmpty, what)
-    val joins = qe.sparkPlan.collect { case j: BaseJoinExec => j }
-    assert(joins.forall {
-      case j: BroadcastHashJoinExec => j.buildSide == BuildRight
-      case _                        => false
-    }, what)
-    assert(joins.size == qe.optimizedPlan.collect { case j: Join => j }.size, what)
+  /** The executed plan of the query is one [[MatchExec]], which runs every
+    * list probe and property-store read itself: no join, sort or exchange
+    * of Spark's. */
+  private def assertOneMatchExec(cfg: SystemConfig, q: QueryGraph): Unit = {
+    val plan: SparkPlan = cfg.run(q).queryExecution.executedPlan match {
+      case a: AdaptiveSparkPlanExec => a.finalPhysicalPlan
+      case p                        => p
+    }
+    val what = s"${q.name} under ${cfg.name}:\n$plan"
+    assert(plan.collect { case m: MatchExec => m }.size == 1, what)
+    assert(plan.collect {
+      case j: BaseJoinExec => j
+      case s: SortExec     => s
+      case e: Exchange     => e
+    }.isEmpty, what)
   }
 
-  test("SQ1-SQ13, MF and MR1-MR3: every join is a broadcast hash join built on the right, none sort-merge") {
-    for (q <- sqs; cfg <- Seq(F.cfgD, F.cfgDs, F.cfgDp)) assertBroadcastProbes(cfg, q)
-    assertBroadcastProbes(F.finDEBplain, MoneyFlow.twoEdgePath(F.Alpha))
+  test("SQ, MF and MR plans run as one MatchExec with no join, sort or exchange") {
+    for (q <- sqs; cfg <- Seq(F.cfgD, F.cfgDs, F.cfgDp)) assertOneMatchExec(cfg, q)
+    assertOneMatchExec(F.finDEBplain, MoneyFlow.twoEdgePath(F.Alpha))
     for (q <- MagicRecs.queries(timeThreshold = 800, a1Limit = Some(150L)))
-      assertBroadcastProbes(F.finDVBt, q)
-    // MULTI-EXTEND's unit joins
+      assertOneMatchExec(F.finDVBt, q)
+    // MULTI-EXTEND's unit lists
     val mf1 = MoneyFlow.queries(F.Alpha, 200).head
     assert(F.finDVBc.plan(mf1).ops.exists(_.isInstanceOf[MultiExtendOp]))
-    assertBroadcastProbes(F.finDVBc, mf1)
+    assertOneMatchExec(F.finDVBc, mf1)
   }
 }
